@@ -58,7 +58,6 @@ from .spectral import (
     eigenvalue_support,
     is_periodic,
     strong_cospectral,
-    support_poly,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "is_connected",
     "is_double_cone",
     "eigenvalue_support",
-    "support_poly",
     "is_periodic",
     "strong_cospectral",
     "decide_proper_lafr",

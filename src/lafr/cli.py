@@ -62,7 +62,7 @@ def graph_from_token(token: str) -> Graph:
 
 def _load_graph(args) -> Graph:
     if args.g6 is not None:
-        return parse_graph6(args.g6)
+        return graph_from_token(args.g6)
     text = Path(args.file).read_text()
     if args.format == "edgelist":
         return parse_edgelist(text)
@@ -91,7 +91,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_periodic(args) -> int:
     from .spectral import is_periodic
 
-    g = parse_graph6(args.g6)
+    g = graph_from_token(args.g6)
     if not 0 <= args.vertex < g.n:
         print("vertex out of range", file=sys.stderr)
         return 2
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full revival/periodicity report")
     src = p_an.add_mutually_exclusive_group(required=True)
-    src.add_argument("--g6", help="graph6 string")
+    src.add_argument("--g6", help="graph6 string or family shorthand (K4, P3, C6, O2)")
     src.add_argument("--file", help="path to a graph file")
     p_an.add_argument(
         "--format", choices=("graph6", "edgelist"), default="graph6"
@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_per = sub.add_parser("periodic", help="periodicity at one vertex")
-    p_per.add_argument("--g6", required=True)
+    p_per.add_argument("--g6", required=True,
+                       help="graph6 string or family shorthand (K4, P3, C6, O2)")
     p_per.add_argument("--vertex", type=int, required=True)
     p_per.set_defaults(func=_cmd_periodic)
 

@@ -1,16 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer polynomial arithmetic.
 
 Integer polynomials are lists of arbitrary-precision coefficients in
 ascending degree order with a nonzero leading coefficient; the zero
-polynomial is the empty list.  Rational matrices and vectors are nested
-lists of :class:`fractions.Fraction`.  Everything here is exact; the
+polynomial is the empty list.  This module holds the characteristic
+polynomial and its integer roots; the spectral idempotents built from
+them live in :mod:`lafr.spectral`.  Everything here is exact; the
 floating-point counterpart lives in :mod:`lafr.oracle`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 IntPoly = list[int]
 
@@ -29,45 +29,11 @@ def poly_degree(p: IntPoly) -> int:
     return len(p) - 1
 
 
-def poly_is_zero(p: IntPoly) -> bool:
-    return not p
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_normalize(out)
-
-
 def poly_eval(p: IntPoly, x: int) -> int:
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_content(p: IntPoly) -> int:
-    c = 0
-    for a in p:
-        c = gcd(c, a)
-    return c
-
-
-def poly_primitive(p: IntPoly) -> IntPoly:
-    """Content-free copy with positive leading coefficient."""
-    p = poly_normalize(p)
-    if not p:
-        return []
-    c = poly_content(p)
-    if p[-1] < 0:
-        c = -c
-    return [a // c for a in p]
 
 
 def char_poly(m: list[list[int]]) -> IntPoly:
@@ -105,68 +71,6 @@ def char_poly(m: list[list[int]]) -> IntPoly:
     return poly_normalize(list(reversed(p)))
 
 
-def char_poly_deleted(m: list[list[int]], a: int) -> IntPoly:
-    """Characteristic polynomial of ``m`` with row and column ``a`` removed."""
-    n = len(m)
-    if not 0 <= a < n:
-        raise ValueError("index out of range")
-    sub = [[m[i][j] for j in range(n) if j != a] for i in range(n) if i != a]
-    return char_poly(sub)
-
-
-def _pseudo_rem(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Pseudo-remainder lc(d)^k * p mod d over the integers."""
-    r = list(p)
-    dd = poly_degree(d)
-    lc = d[-1]
-    while len(r) - 1 >= dd and r:
-        shift = len(r) - 1 - dd
-        top = r[-1]
-        r = [c * lc for c in r]
-        for i, c in enumerate(d):
-            r[shift + i] -= top * c
-        r = poly_normalize(r)
-    return r
-
-
-def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    a, b = poly_primitive(p), poly_primitive(q)
-    if not a and not b:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if poly_degree(a) < poly_degree(b):
-        a, b = b, a
-    while b:
-        r = poly_primitive(_pseudo_rem(a, b))
-        a, b = b, r
-    return poly_primitive(a)
-
-
-def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Quotient p / d when d divides p exactly over the rationals."""
-    if not d:
-        raise ValueError("division by the zero polynomial")
-    if not p:
-        return []
-    if poly_degree(p) < poly_degree(d):
-        raise ValueError("inexact polynomial division")
-    rem = [Fraction(c) for c in p]
-    dd = poly_degree(d)
-    lc = Fraction(d[-1])
-    quot = [Fraction(0)] * (len(p) - dd)
-    for shift in range(len(quot) - 1, -1, -1):
-        coeff = rem[shift + dd] / lc
-        quot[shift] = coeff
-        if coeff:
-            for i, c in enumerate(d):
-                rem[shift + i] -= coeff * c
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in quot):
-        raise ValueError("quotient is not an integer polynomial")
-    return poly_normalize([int(c) for c in quot])
-
-
 def _divide_linear(q: IntPoly, r: int) -> IntPoly:
     """Synthetic division of ``q`` by (t - r); caller guarantees r is a root."""
     out_desc = []
@@ -177,23 +81,28 @@ def _divide_linear(q: IntPoly, r: int) -> IntPoly:
     return list(reversed(out_desc))
 
 
-def integer_roots(p: IntPoly, lo: int, hi: int) -> dict[int, int]:
-    """Integer roots of ``p`` in [lo, hi], mapped to their multiplicities."""
+def split_integer_roots(p: IntPoly, lo: int, hi: int) -> tuple[dict[int, int], IntPoly]:
+    """Integer roots of ``p`` in [lo, hi] with multiplicities, and the
+    cofactor left once every one of them is divided out."""
     if not p:
         raise ValueError("zero polynomial has every root")
     if lo > hi:
         raise ValueError("empty scan range")
     roots: dict[int, int] = {}
+    q = p
     for r in range(lo, hi + 1):
-        if poly_eval(p, r) != 0:
-            continue
         mult = 0
-        q = p
         while len(q) > 1 and poly_eval(q, r) == 0:
             q = _divide_linear(q, r)
             mult += 1
-        roots[r] = mult
-    return roots
+        if mult:
+            roots[r] = mult
+    return roots, q
+
+
+def integer_roots(p: IntPoly, lo: int, hi: int) -> dict[int, int]:
+    """Integer roots of ``p`` in [lo, hi], mapped to their multiplicities."""
+    return split_integer_roots(p, lo, hi)[0]
 
 
 def all_roots_integer(p: IntPoly, found: dict[int, int]) -> bool:
@@ -213,131 +122,3 @@ def all_roots_integer(p: IntPoly, found: dict[int, int]) -> bool:
         return True
     root_sum = sum(r * m for r, m in found.items())
     return Fraction(-p[-2], p[-1]) == root_sum
-
-
-# ---------------------------------------------------------------------------
-# rational linear algebra
-
-RatVector = list[Fraction]
-RatMatrix = list[list[Fraction]]
-
-
-def _as_fractions(m) -> RatMatrix:
-    return [[Fraction(e) for e in row] for row in m]
-
-
-def kernel_basis(m) -> list[RatVector]:
-    """Exact basis of the right null space, from reduced row echelon form.
-
-    One basis vector per free column, in ascending column order; the empty
-    list when the kernel is trivial.
-    """
-    a = _as_fractions(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for pc in range(cols):
-        pivot_row = None
-        for r in range(pr, rows):
-            if a[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        inv = a[pr][pc]
-        a[pr] = [e / inv for e in a[pr]]
-        for r in range(rows):
-            if r != pr and a[r][pc] != 0:
-                f = a[r][pc]
-                a[r] = [e - f * ep for e, ep in zip(a[r], a[pr])]
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == rows:
-            break
-    pivot_cols = {pc for _, pc in pivots}
-    basis = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for r, pc in pivots:
-            vec[pc] = -a[r][free]
-        basis.append(vec)
-    return basis
-
-
-def solve_full_pivot(m, rhs) -> RatVector:
-    """Solve a square rational system exactly with full pivoting.
-
-    The pivot is the first nonzero entry of the remaining submatrix in
-    row-major order, so elimination is deterministic.  Raises on singular
-    input.
-    """
-    a = _as_fractions(m)
-    b = [Fraction(e) for e in rhs]
-    k = len(a)
-    col_perm = list(range(k))
-    for step in range(k):
-        pivot = None
-        for r in range(step, k):
-            for c in range(step, k):
-                if a[r][c] != 0:
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            raise ValueError("singular system")
-        r, c = pivot
-        a[step], a[r] = a[r], a[step]
-        b[step], b[r] = b[r], b[step]
-        if c != step:
-            for row in a:
-                row[step], row[c] = row[c], row[step]
-            col_perm[step], col_perm[c] = col_perm[c], col_perm[step]
-        inv = a[step][step]
-        for r in range(step + 1, k):
-            if a[r][step] != 0:
-                f = a[r][step] / inv
-                a[r] = [e - f * ep for e, ep in zip(a[r], a[step])]
-                b[r] -= f * b[step]
-    x = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, k):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    out = [Fraction(0)] * k
-    for i, orig in enumerate(col_perm):
-        out[orig] = x[i]
-    return out
-
-
-def project(basis: list[RatVector], v) -> RatVector:
-    """Exact orthogonal projection of ``v`` onto the span of ``basis``.
-
-    Computed as V (V^T V)^{-1} V^T v; a linearly dependent basis makes the
-    Gram system singular and raises.
-    """
-    if not basis:
-        raise ValueError("empty basis")
-    vv = [Fraction(e) for e in v]
-    k = len(basis)
-    gram = [
-        [sum(bi * bj for bi, bj in zip(basis[i], basis[j])) for j in range(k)]
-        for i in range(k)
-    ]
-    rhs = [sum(bi * e for bi, e in zip(basis[i], vv)) for i in range(k)]
-    try:
-        coeffs = solve_full_pivot(gram, rhs)
-    except ValueError:
-        raise ValueError("basis vectors are linearly dependent")
-    out = [Fraction(0)] * len(vv)
-    for ci, bvec in zip(coeffs, basis):
-        if ci:
-            for idx, e in enumerate(bvec):
-                out[idx] += ci * e
-    return out

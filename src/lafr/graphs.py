@@ -99,13 +99,6 @@ def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in nbrs)
 
 
-def adjacency_matrix(g: Graph) -> list[list[int]]:
-    a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = a[v][u] = 1
-    return a
-
-
 def laplacian(g: Graph) -> list[list[int]]:
     """Laplacian matrix: degree on the diagonal, -1 at edges, rows sum to 0."""
     m = [[0] * g.n for _ in range(g.n)]

@@ -1,10 +1,16 @@
-"""Eigenvalue supports, periodicity, and exact strong cospectrality.
+"""Spectral idempotents, eigenvalue supports, periodicity, and exact
+strong cospectrality.
 
-The eigenvalue support of a vertex is read off the support polynomial
-psi / gcd(psi, psi_a), whose roots are simple.  Strong cospectrality is
-decided exactly, but only for vertices whose supports are all-integer:
-that is the only case the revival decision ever needs, because a
-non-integer support already rules proper revival out.
+Everything here reads from one exact object per graph: for each integer
+Laplacian eigenvalue mu, the idempotent E_mu = N_mu / d_mu with an
+integer matrix N_mu and an integer d_mu (see :func:`idempotents`).  The
+integer part of a vertex's eigenvalue support is {mu : (E_mu)_aa != 0},
+and the support is all-integer exactly when those diagonal entries sum to
+1, since sum over all eigenvalues theta of (E_theta)_aa = 1.  Strong
+cospectrality compares rows of the N_mu, and is decided only for vertices
+whose supports are all-integer: that is the only case the revival
+decision ever needs, because a non-integer support already rules proper
+revival out.
 """
 
 from __future__ import annotations
@@ -18,13 +24,9 @@ from .errors import NonIntegerSupportError, NotApplicableError
 from .exactalg import (
     all_roots_integer,
     char_poly,
-    char_poly_deleted,
-    exact_div,
     integer_roots,
-    kernel_basis,
-    poly_degree,
-    poly_gcd,
-    project,
+    poly_eval,
+    split_integer_roots,
 )
 from .graphs import Graph, is_connected, laplacian, spanning_tree_count
 
@@ -34,8 +36,8 @@ class EigenvalueSupport:
     """Integer part of a vertex's eigenvalue support.
 
     ``support_size`` is the total number of distinct eigenvalues in the
-    support (the degree of the support polynomial); ``all_integer`` says
-    whether the integer ones account for all of them.
+    support, integer or not; ``all_integer`` says whether the integer ones
+    account for all of them.
     """
 
     vertex: int
@@ -72,35 +74,94 @@ def graph_char_poly(g: Graph):
     return char_poly(laplacian(g))
 
 
-@functools.lru_cache(maxsize=2048)
-def _vertex_deleted_char_poly(g: Graph, a: int):
-    return char_poly_deleted(laplacian(g), a)
-
-
 @functools.lru_cache(maxsize=512)
 def laplacian_integer_eigenvalues(g: Graph) -> dict[int, int]:
     """Integer Laplacian eigenvalues with multiplicities (scan range [0, n])."""
     return integer_roots(graph_char_poly(g), 0, g.n)
 
 
-def support_poly(g: Graph, a: int):
-    """Monic squarefree-in-support polynomial whose roots are the support."""
-    if not 0 <= a < g.n:
-        raise ValueError("vertex out of range")
-    psi = graph_char_poly(g)
-    psi_a = _vertex_deleted_char_poly(g, a)
-    return exact_div(psi, poly_gcd(psi, psi_a))
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _shifted_laplacian_times(g: Graph, x: list[int], shift: int) -> list[int]:
+    """The vector (L - shift I) x, one pass over the edges of ``g``."""
+    y = [(d - shift) * v for d, v in zip(g.degrees(), x)]
+    for u, v in g.edges:
+        y[u] -= x[v]
+        y[v] -= x[u]
+    return y
+
+
+@functools.lru_cache(maxsize=64)
+def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
+    """Spectral idempotent E_mu = N_mu / d_mu of every integer Laplacian
+    eigenvalue mu, as the pair (N_mu, d_mu), in ascending order of mu.
+
+    N_mu = p_mu(L) and d_mu = p_mu(mu) for p_mu(t) = r(t) * prod(t - nu)
+    over the other integer eigenvalues nu, where r is psi with every
+    integer root divided out.  Since L is symmetric and p_mu vanishes at
+    every eigenvalue but mu, p_mu(L) = p_mu(mu) E_mu.  r(L) is evaluated
+    once per graph by Horner's rule on the sparse L.
+    """
+    roots, r = split_integer_roots(graph_char_poly(g), 0, g.n)
+    r_of_l = [[r[-1] * (i == j) for j in range(g.n)] for i in range(g.n)]
+    for c in reversed(r[:-1]):
+        r_of_l = [_shifted_laplacian_times(g, row, 0) for row in r_of_l]
+        for i in range(g.n):
+            r_of_l[i][i] += c
+    out = {}
+    for mu in sorted(roots):
+        num, den = r_of_l, poly_eval(r, mu)
+        for nu in roots:
+            if nu != mu:
+                num = [_shifted_laplacian_times(g, row, nu) for row in num]
+                den *= mu - nu
+        out[mu] = (tuple(map(tuple, num)), den)
+    return out
+
+
+def _moment_rank(g: Graph, a: int) -> int:
+    """Number of distinct eigenvalues in the support of vertex ``a``.
+
+    The moments m_k = (L^k)_aa are sums of theta^k (E_theta)_aa with
+    nonnegative weights, so the leading minors of the Hankel matrix
+    [m_(i+j)] are positive up to the support size and zero beyond it.
+    Fraction-free Bareiss elimination without pivoting, whose pivots are
+    those minors, stops at the first zero pivot.
+    """
+    n = g.n
+    x = [int(i == a) for i in range(n)]
+    moments = [1]
+    for _ in range(2 * n):
+        x = _shifted_laplacian_times(g, x, 0)
+        moments.append(x[a])
+    h = [moments[i : i + n + 1] for i in range(n + 1)]
+    k, prev = 0, 1
+    while h[k][k]:
+        pivot = h[k][k]
+        for i in range(k + 1, n + 1):
+            for j in range(k + 1, n + 1):
+                h[i][j] = (h[i][j] * pivot - h[i][k] * h[k][j]) // prev
+        k, prev = k + 1, pivot
+    return k
 
 
 @functools.lru_cache(maxsize=4096)
 def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
-    f = support_poly(g, a)
-    roots = integer_roots(f, 0, g.n)
+    if not 0 <= a < g.n:
+        raise ValueError("vertex out of range")
+    idem = idempotents(g)
+    diag = {mu: (num[a][a], den) for mu, (num, den) in idem.items() if num[a][a]}
+    # all-integer exactly when the integer diagonal entries N_aa / d sum to 1
+    total, common = 0, 1
+    for x, d in diag.values():
+        total, common = total * d + x * common, common * d
+    all_integer = total == common
     return EigenvalueSupport(
         vertex=a,
-        integer_eigenvalues=frozenset(roots),
-        all_integer=all_roots_integer(f, roots),
-        support_size=poly_degree(f),
+        integer_eigenvalues=frozenset(diag),
+        all_integer=all_integer,
+        support_size=len(diag) if all_integer else _moment_rank(g, a),
     )
 
 
@@ -120,33 +181,19 @@ def is_periodic(g: Graph, a: int) -> Periodicity:
     return Periodicity(a, True, big_g if big_g > 0 else None)
 
 
-@functools.lru_cache(maxsize=512)
-def _eigenspace_bases(g: Graph) -> dict[int, tuple[tuple[Fraction, ...], ...]]:
-    """Exact eigenspace bases of the Laplacian at every integer eigenvalue."""
-    lap = laplacian(g)
-    bases = {}
-    for mu in sorted(laplacian_integer_eigenvalues(g)):
-        shifted = [
-            [Fraction(mu if i == j else 0) - lap[i][j] for j in range(g.n)]
-            for i in range(g.n)
-        ]
-        bases[mu] = tuple(tuple(vec) for vec in kernel_basis(shifted))
-    return bases
-
-
 def eigenprojection_column(g: Graph, mu: int, a: int) -> list[Fraction]:
     """Exact column of the spectral idempotent of ``mu`` at vertex ``a``."""
-    bases = _eigenspace_bases(g)
-    if mu not in bases or not bases[mu]:
+    idem = idempotents(g)
+    if mu not in idem:
         raise ValueError(f"{mu} is not an eigenvalue of the Laplacian")
-    e_a = [Fraction(int(i == a)) for i in range(g.n)]
-    return project([list(vec) for vec in bases[mu]], e_a)
+    num, den = idem[mu]
+    return [Fraction(x, den) for x in num[a]]
 
 
 def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     """Exact strong-cospectrality test with the induced eigenvalue classes.
 
-    Compares the whole projection column at every integer eigenvalue of the
+    Compares the whole idempotent column at every integer eigenvalue of the
     Laplacian, and returns ``None`` as soon as one column pair is neither
     equal nor opposite.  Both supports must be all-integer, otherwise the
     exact test is not attempted.
@@ -160,16 +207,15 @@ def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
             f"vertex {a if not sup_a.all_integer else b} has non-integer support"
         )
     plus, minus, zero = set(), set(), set()
-    for mu in sorted(laplacian_integer_eigenvalues(g)):
-        col_a = eigenprojection_column(g, mu, a)
-        col_b = eigenprojection_column(g, mu, b)
-        if not any(col_a):
-            if any(col_b):
+    for mu, (num, _) in idempotents(g).items():
+        row_a, row_b = num[a], num[b]
+        if not any(row_a):
+            if any(row_b):
                 return None
             zero.add(mu)
-        elif col_a == col_b:
+        elif row_a == row_b:
             plus.add(mu)
-        elif all(x == -y for x, y in zip(col_a, col_b)):
+        elif all(x == -y for x, y in zip(row_a, row_b)):
             minus.add(mu)
         else:
             return None

@@ -6,11 +6,12 @@ Random graphs are drawn from a fixed seed so every run sees the same
 corpus.
 """
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from lafr.campaigns import mask_to_graph
+from lafr.campaigns import campaign_prime_order, mask_to_graph
 from lafr.graphs import Graph
 
 
@@ -33,6 +34,50 @@ def random_graph(rng: Random, n: int) -> Graph:
     return mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
 
 
+def kernel_basis(m) -> list[list[Fraction]]:
+    """Exact basis of the right null space, from reduced row echelon form.
+
+    An independent reference for eigenspace dimensions: one basis vector
+    per free column, in ascending column order; the empty list when the
+    kernel is trivial.
+    """
+    a = [[Fraction(e) for e in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[tuple[int, int]] = []
+    pr = 0
+    for pc in range(cols):
+        pivot_row = None
+        for r in range(pr, rows):
+            if a[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        inv = a[pr][pc]
+        a[pr] = [e / inv for e in a[pr]]
+        for r in range(rows):
+            if r != pr and a[r][pc] != 0:
+                f = a[r][pc]
+                a[r] = [e - f * ep for e, ep in zip(a[r], a[pr])]
+        pivots.append((pr, pc))
+        pr += 1
+        if pr == rows:
+            break
+    pivot_cols = {pc for _, pc in pivots}
+    basis = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, pc in pivots:
+            vec[pc] = -a[r][free]
+        basis.append(vec)
+    return basis
+
+
 @pytest.fixture(scope="session")
 def connected_upto_6() -> list[Graph]:
     return atlas_connected(6)
@@ -51,3 +96,9 @@ def random_8_to_12() -> list[Graph]:
         for _ in range(40):
             out.append(random_graph(rng, n))
     return out
+
+
+@pytest.fixture(scope="session")
+def prime7_result():
+    """The 2^21-mask prime-order-seven campaign, run once per session."""
+    return campaign_prime_order(7)

@@ -150,8 +150,8 @@ def test_criterion_4_prime_order_five(proper_log):
 
 
 @pytest.mark.slow
-def test_criterion_4_prime_order_seven_extended():
-    result = campaign_prime_order(7)
+def test_criterion_4_prime_order_seven_extended(prime7_result):
+    result = prime7_result
     assert result.counterexamples == []
     assert result.details["connected_graphs"] == 1866256
     assert result.wall_time_s < 1800

@@ -103,8 +103,8 @@ class TestPrimeFiveCampaign:
 
 @pytest.mark.slow
 class TestPrimeSevenCampaign:
-    def test_no_counterexamples(self):
-        result = campaign_prime_order(7)
+    def test_no_counterexamples(self, prime7_result):
+        result = prime7_result
         assert result.passed
         assert result.corpus_size == 1 << 21
         assert result.details["connected_graphs"] == 1866256

@@ -53,6 +53,15 @@ class TestAnalyze:
             assert entry["periodic"] and entry["G"] == 4
             assert entry["period"] == {"num": 1, "den": 2, "unit": "pi"}
 
+    def test_family_shorthand_matches_graph6(self, capsys):
+        assert main(["analyze", "--g6", "C6", "--json"]) == 0
+        short = json.loads(capsys.readouterr().out)
+        assert main(["analyze", "--g6", to_graph6(cycle_graph(6)), "--json"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert short["graph"] == full["graph"]
+        assert short["decisions"] == full["decisions"]
+        assert short["periodicity"] == full["periodicity"]
+
     def test_explicit_pairs(self, capsys):
         g6 = to_graph6(path_graph(4))
         assert main(["analyze", "--g6", g6, "--pairs", "0,3", "--json"]) == 0
@@ -100,6 +109,10 @@ class TestPeriodic:
     def test_c5(self, capsys):
         assert main(["periodic", "--g6", to_graph6(cycle_graph(5)), "--vertex", "0"]) == 0
         assert "not periodic" in capsys.readouterr().out
+
+    def test_family_shorthand(self, capsys):
+        assert main(["periodic", "--g6", "C4", "--vertex", "0"]) == 0
+        assert "G=2" in capsys.readouterr().out
 
     def test_vertex_range(self, capsys):
         assert main(["periodic", "--g6", "A_", "--vertex", "9"]) == 2

@@ -1,34 +1,21 @@
-"""Exact integer/rational algebra: characteristic polynomials, gcds,
-root extraction, kernels and projections."""
+"""Exact integer algebra: characteristic polynomials and integer roots,
+plus the reference kernel used by the property battery."""
 
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import kernel_basis, random_graph
 from lafr.exactalg import (
     all_roots_integer,
     char_poly,
-    char_poly_deleted,
-    exact_div,
     integer_roots,
-    kernel_basis,
-    poly_degree,
     poly_eval,
-    poly_gcd,
-    poly_mul,
-    poly_normalize,
-    poly_primitive,
-    project,
-    solve_full_pivot,
+    split_integer_roots,
 )
 from lafr.graphs import laplacian, path_graph
-
-small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(poly_normalize)
 
 
 class TestCharPoly:
@@ -74,79 +61,6 @@ class TestCharPoly:
                 assert abs(poly_eval(p, t) - round(np.linalg.det(shifted))) < 1e-6
 
 
-class TestCharPolyDeleted:
-    def test_p3_middle(self):
-        assert char_poly_deleted(laplacian(path_graph(3)), 1) == [1, -2, 1]
-
-    def test_k2(self):
-        assert char_poly_deleted([[1, -1], [-1, 1]], 0) == [-1, 1]
-
-    def test_one_by_one(self):
-        assert char_poly_deleted([[5]], 0) == [1]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            char_poly_deleted([[1]], 3)
-
-
-class TestPolyGcd:
-    def test_euclid_example(self):
-        assert poly_gcd([0, -2, 1], [0, 1]) == [0, 1]
-
-    def test_gcd_with_zero(self):
-        assert poly_gcd([0, -4, 2], []) == [0, -2, 1]
-
-    def test_coprime(self):
-        assert poly_gcd([-1, 1], [-2, 1]) == [1]
-
-    def test_both_zero(self):
-        with pytest.raises(ValueError):
-            poly_gcd([], [])
-
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(small_polys, small_polys, small_polys)
-    def test_common_factor_detected(self, p, q, d):
-        if not d or poly_degree(d) == 0:
-            return
-        a, b = poly_mul(p, d), poly_mul(q, d)
-        if not a and not b:
-            return
-        g = poly_gcd(a, b)
-        # gcd divides both inputs and is divisible by the planted factor
-        if a:
-            exact_div(a, g)
-        if b:
-            exact_div(b, g)
-        assert poly_degree(g) >= poly_degree(poly_primitive(d)) or (not a or not b)
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(small_polys, small_polys)
-    def test_degree_additivity(self, p, q):
-        if not p or not q:
-            return
-        g = poly_gcd(p, q)
-        assert poly_degree(g) + poly_degree(exact_div(p, g)) == poly_degree(p)
-
-
-class TestExactDiv:
-    def test_simple(self):
-        assert exact_div([0, -2, 1], [0, 1]) == [-2, 1]
-
-    def test_unit(self):
-        assert exact_div([3, 1, 4], [1]) == [3, 1, 4]
-
-    def test_round_trip_support(self):
-        psi = char_poly(laplacian(path_graph(3)))
-        psi_a = char_poly_deleted(laplacian(path_graph(3)), 0)
-        g = poly_gcd(psi, psi_a)
-        f = exact_div(psi, g)
-        assert poly_mul(f, g) == psi
-
-    def test_inexact_raises(self):
-        with pytest.raises(ValueError):
-            exact_div([1, 1], [0, 1])  # t does not divide t + 1
-
-
 class TestIntegerRoots:
     def test_p3_char_poly(self):
         assert integer_roots([0, 3, -4, 1], 0, 3) == {0: 1, 1: 1, 3: 1}
@@ -161,6 +75,12 @@ class TestIntegerRoots:
         with pytest.raises(ValueError):
             integer_roots([], 0, 1)
 
+    def test_split_cofactor(self):
+        # t (t - 2)^2 (t^2 + 1): the cofactor keeps the root-free part
+        roots, rest = split_integer_roots([0, 4, -4, 5, -4, 1], 0, 5)
+        assert roots == {0: 1, 2: 2}
+        assert rest == [1, 0, 1]
+
 
 class TestAllRootsInteger:
     def test_full_split(self):
@@ -174,7 +94,7 @@ class TestAllRootsInteger:
 
     def test_partial_find(self):
         # (t - 1)(t^2 - 2): integer root found but degree not covered
-        p = poly_mul([-1, 1], [-2, 0, 1])
+        p = [2, -2, -1, 1]
         assert not all_roots_integer(p, integer_roots(p, 0, 5))
 
 
@@ -216,56 +136,3 @@ class TestKernel:
             m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
             rank = np.linalg.matrix_rank(np.array(m, dtype=float))
             assert len(kernel_basis(m)) == cols - rank
-
-
-class TestProject:
-    def test_onto_ones(self):
-        got = project([[Fraction(1)] * 3], [1, 0, 0])
-        assert got == [Fraction(1, 3)] * 3
-
-    def test_rank_one(self):
-        got = project([[1, 0, -1]], [1, 0, 0])
-        assert got == [Fraction(1, 2), Fraction(0), Fraction(-1, 2)]
-
-    def test_fixed_point(self):
-        basis = [[1, 1, 0], [0, 0, 1]]
-        v = [Fraction(2), Fraction(2), Fraction(-7)]
-        assert project(basis, v) == v
-
-    def test_idempotent(self):
-        rng = Random(59)
-        for _ in range(10):
-            basis = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
-            if not kernel_basis([list(b) for b in zip(*basis)]):
-                continue  # keep only independent pairs
-            try:
-                once = project(basis, [1, 2, 3, 4])
-            except ValueError:
-                continue
-            assert project(basis, once) == once
-
-    def test_residual_orthogonal_to_basis(self):
-        basis = [[2, 1, 0, 0], [0, 1, 1, 3]]
-        v = [5, -1, 2, 2]
-        proj = project(basis, v)
-        residual = [Fraction(x) - p for x, p in zip(v, proj)]
-        for b in basis:
-            assert sum(Fraction(e) * r for e, r in zip(b, residual)) == 0
-
-    def test_dependent_basis_raises(self):
-        with pytest.raises(ValueError):
-            project([[1, 1], [2, 2]], [1, 0])
-
-
-class TestSolve:
-    def test_simple_system(self):
-        x = solve_full_pivot([[2, 0], [0, 4]], [2, 8])
-        assert x == [Fraction(1), Fraction(2)]
-
-    def test_needs_pivoting(self):
-        x = solve_full_pivot([[0, 1], [1, 0]], [3, 5])
-        assert x == [Fraction(5), Fraction(3)]
-
-    def test_singular(self):
-        with pytest.raises(ValueError):
-            solve_full_pivot([[1, 1], [1, 1]], [1, 2])

@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import kernel_basis
 from lafr import oracle
 from lafr.errors import NotApplicableError
-from lafr.exactalg import all_roots_integer, kernel_basis
+from lafr.exactalg import all_roots_integer
 from lafr.graphs import (
     adjacency_sets,
     complement,

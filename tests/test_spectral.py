@@ -3,9 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
+from lafr import oracle
 from lafr.errors import NonIntegerSupportError, NotApplicableError
 from lafr.graphs import (
     complete_graph,
@@ -18,27 +20,44 @@ from lafr.graphs import (
 from lafr.spectral import (
     eigenprojection_column,
     eigenvalue_support,
+    idempotents,
     is_periodic,
     laplacian_integer_eigenvalues,
     strong_cospectral,
-    support_poly,
     support_product_divides_trees,
 )
 
 
-class TestSupportPoly:
-    def test_p3_end(self):
-        assert support_poly(path_graph(3), 0) == [0, 3, -4, 1]
+class TestIdempotents:
+    def test_p3(self):
+        idem = idempotents(path_graph(3))
+        assert list(idem) == [0, 1, 3]
+        num, den = idem[1]
+        assert [[Fraction(x, den) for x in row] for row in num] == [
+            [Fraction(1, 2), 0, Fraction(-1, 2)],
+            [0, 0, 0],
+            [Fraction(-1, 2), 0, Fraction(1, 2)],
+        ]
 
-    def test_p3_middle(self):
-        assert support_poly(path_graph(3), 1) == [0, -3, 1]
+    def test_keys_are_integer_eigenvalues(self):
+        rng = Random(73)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(1, 9))
+            assert set(idempotents(g)) == set(laplacian_integer_eigenvalues(g))
 
-    def test_k2(self):
-        assert support_poly(path_graph(2), 0) == [0, -2, 1]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            support_poly(path_graph(2), 4)
+    def test_matches_oracle_projectors(self):
+        rng = Random(79)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(3, 10))
+            spec = oracle.graph_spectrum(g)
+            clusters = oracle.cluster_eigenvalues(spec.eigenvalues)
+            for mu, (num, den) in idempotents(g).items():
+                [cluster] = [
+                    c for c in clusters if abs(spec.eigenvalues[c[0]] - mu) < 1e-6
+                ]
+                vc = spec.eigenvectors[:, cluster]
+                exact = np.array([[float(Fraction(x, den)) for x in row] for row in num])
+                assert np.max(np.abs(exact - vc @ vc.T)) < 1e-9
 
 
 class TestEigenvalueSupport:
@@ -47,10 +66,32 @@ class TestEigenvalueSupport:
         assert sup.integer_eigenvalues == {0, 1, 3}
         assert sup.all_integer and sup.support_size == 3
 
+    def test_p3_middle(self):
+        sup = eigenvalue_support(path_graph(3), 1)
+        assert sup.integer_eigenvalues == {0, 3}
+        assert sup.all_integer and sup.support_size == 2
+
+    def test_k2(self):
+        sup = eigenvalue_support(path_graph(2), 0)
+        assert sup.integer_eigenvalues == {0, 2}
+        assert sup.all_integer and sup.support_size == 2
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            eigenvalue_support(path_graph(2), 4)
+
     def test_c5(self):
         sup = eigenvalue_support(cycle_graph(5), 0)
         assert sup.integer_eigenvalues == {0}
         assert not sup.all_integer
+
+    def test_non_integer_support_sizes(self):
+        # C5: 0 and the two irrational values (5 -+ sqrt 5)/2;
+        # P5: 2 - 2cos(k pi/5), all five at an end, k even at the middle
+        cases = ((cycle_graph(5), 3, 3), (path_graph(5), 0, 5), (path_graph(5), 2, 3))
+        for g, a, size in cases:
+            sup = eigenvalue_support(g, a)
+            assert not sup.all_integer and sup.support_size == size
 
     def test_c4(self):
         sup = eigenvalue_support(cycle_graph(4), 0)
