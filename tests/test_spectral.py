@@ -66,6 +66,15 @@ class TestEigenvalueSupport:
         assert sup.integer_eigenvalues == {0, 1, 3}
         assert sup.all_integer and sup.support_size == 3
 
+    def test_p3_end_columns(self):
+        # The support {0, 1, 3} is where the end's eigenprojection columns
+        # are nonzero, and those columns resolve the end's unit vector.
+        g = path_graph(3)
+        cols = {mu: eigenprojection_column(g, mu, 0) for mu in (0, 1, 3)}
+        assert all(any(c) for c in cols.values())
+        assert eigenvalue_support(g, 0).integer_eigenvalues == set(cols)
+        assert [sum(xs) for xs in zip(*cols.values())] == [1, 0, 0]
+
     def test_p3_middle(self):
         sup = eigenvalue_support(path_graph(3), 1)
         assert sup.integer_eigenvalues == {0, 3}
