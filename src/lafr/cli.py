@@ -66,7 +66,7 @@ def _load_graph(args) -> Graph:
     text = Path(args.file).read_text()
     if args.format == "edgelist":
         return parse_edgelist(text)
-    return parse_graph6(text.strip().splitlines()[0])
+    return parse_graph6((text.strip().splitlines() or [""])[0])
 
 
 def _cmd_analyze(args) -> int:

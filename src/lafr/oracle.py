@@ -167,8 +167,7 @@ def time_scan(
     gate = max(leak_tol, slope * dt)
 
     def leakage_at(t: float) -> float:
-        u = transition_matrix(g, t)
-        return block_fr_check(u, a, b, 1e-3).leakage
+        return float(_pair_leakage_grid(g, a, b, np.array([t]))[0][0])
 
     hits: list[float] = []
     for i in np.flatnonzero((leak <= gate) & (beta > beta_min)):

@@ -239,9 +239,10 @@ def proper_time_valid(decision: RevivalDecision, num: int, den: int) -> bool:
     return (m.numerator * decision.phase.k) % decision.g != 0
 
 
-def _has_isolated_edge(g: Graph) -> bool:
+def _isolated_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges whose two ends both have degree one: single-edge components."""
     degs = g.degrees()
-    return any(degs[u] == 1 and degs[v] == 1 for u, v in g.edges)
+    return [(u, v) for u, v in g.edges if degs[u] == 1 and degs[v] == 1]
 
 
 def has_proper_lafr_at(g: Graph, num: int, den: int) -> bool:
@@ -255,7 +256,7 @@ def has_proper_lafr_at(g: Graph, num: int, den: int) -> bool:
     if g.n < 2:
         return False
     if (
-        _has_isolated_edge(g)
+        _isolated_edges(g)
         and two_vertex_time_class(num, den) is TwoVertexClass.PROPER
     ):
         return True
@@ -296,10 +297,8 @@ def _product_fiber_proper_at(x: Graph, y: Graph, num: int, den: int) -> bool:
     prod = cartesian_product(x, y)
     if prod.n < 2:
         return False
-    degs = prod.degrees()
     if two_vertex_time_class(num, den) is TwoVertexClass.PROPER and any(
-        degs[u] == 1 and degs[v] == 1 and u // y.n == v // y.n
-        for u, v in prod.edges
+        u // y.n == v // y.n for u, v in _isolated_edges(prod)
     ):
         return True
     if prod.n < 3:

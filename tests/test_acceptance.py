@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  The extended prime-order run (2^21 bitmasks on seven vertices)
-is marked slow; enable it with ``-m slow`` or by dropping the default
-marker filter.
+is marked slow; a plain run includes it, ``-m slow`` runs only the slow
+tests and ``-m "not slow"`` leaves them out.
 """
 
 import math
@@ -154,6 +154,8 @@ def test_criterion_4_prime_order_seven_extended(prime7_result):
     result = prime7_result
     assert result.counterexamples == []
     assert result.details["connected_graphs"] == 1866256
+    assert result.details["connected_classes"] == 853
+    assert result.details["positives"] == 20769
     assert result.wall_time_s < 1800
     print(f"\n[criterion 4x] PASS: prime order 7, {result.details['positives']} "
           f"positives over 2^21 masks, all double cones "

@@ -1,19 +1,24 @@
 """Campaign harnesses: tree scan, prime-order scan, construction battery."""
 
+from itertools import permutations
+from random import Random
+
+import numpy as np
 import pytest
 
 from lafr.campaigns import (
     _confirm_masks,
-    _screen_chunk,
     all_graph_masks,
     campaign_constructions,
     campaign_prime_order,
     campaign_trees,
+    canonical_masks,
     graph_to_mask,
     mask_to_graph,
     pair_table,
 )
 from lafr.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     double_cone,
@@ -35,6 +40,51 @@ class TestMaskCorpus:
 
     def test_corpus_size(self):
         assert len(all_graph_masks(5)) == 1024
+
+
+def relabel(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+def canonical_key(n: int, mask: int) -> int:
+    return int(canonical_masks(n, mask, mask + 1)[0])
+
+
+class TestCanonicalKey:
+    def test_p5_keys_are_networkx_isomorphism_classes(self):
+        import networkx as nx
+
+        def nx_graph(mask):
+            G = nx.Graph()
+            G.add_nodes_from(range(5))
+            G.add_edges_from(mask_to_graph(5, mask).edges)
+            return G
+
+        keys = canonical_masks(5, 0, 1024)
+        classes = np.unique(keys).tolist()
+        assert len(classes) == 34
+        assert sum(is_connected(mask_to_graph(5, k)) for k in classes) == 21
+        reps = {k: nx_graph(k) for k in classes}
+        for mask, key in enumerate(keys.tolist()):
+            # the key is the least member of the mask's class
+            assert key <= mask and keys[key] == key
+            assert nx.is_isomorphic(nx_graph(mask), reps[key])
+        for i, a in enumerate(classes):
+            for b in classes[i + 1 :]:
+                assert not nx.is_isomorphic(reps[a], reps[b])
+
+    def test_p7_keys_invariant_under_relabeling(self):
+        rng = Random(0x7C0)
+        for _ in range(200):
+            mask = rng.getrandbits(21)
+            perm = list(range(7))
+            rng.shuffle(perm)
+            relabeled = graph_to_mask(relabel(mask_to_graph(7, mask), perm))
+            assert canonical_key(7, relabeled) == canonical_key(7, mask)
+
+    def test_chunk_boundaries(self):
+        keys = canonical_masks(7, 0, 1 << 12)
+        assert keys[1000:1100].tolist() == canonical_masks(7, 1000, 1100).tolist()
 
 
 class TestTreeCampaign:
@@ -70,6 +120,8 @@ class TestPrimeFiveCampaign:
         assert result.passed
         assert result.corpus_size == 1024
         assert result.details["connected_graphs"] == 728
+        assert result.details["connected_classes"] == 21
+        assert result.details["positives"] == 65
 
     def test_screen_agrees_with_brute_force(self):
         # every connected labeled graph on five vertices, decided exactly
@@ -91,10 +143,15 @@ class TestPrimeFiveCampaign:
         positives, counterexamples = _confirm_masks(5, [mask])
         assert positives == [mask] and counterexamples == []
 
-    def test_screen_keeps_known_positive(self):
-        mask = graph_to_mask(double_cone(complete_graph(3)))
-        _, shortlist = _screen_chunk(5, mask, mask + 1)
-        assert shortlist == [mask]
+    def test_double_cone_k3_class_keys_to_one_positive(self):
+        g = double_cone(complete_graph(3))
+        keys = {
+            canonical_key(5, graph_to_mask(relabel(g, perm)))
+            for perm in permutations(range(5))
+        }
+        assert len(keys) == 1
+        key = keys.pop()
+        assert _confirm_masks(5, [key]) == ([key], [])
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
@@ -108,7 +165,8 @@ class TestPrimeSevenCampaign:
         assert result.passed
         assert result.corpus_size == 1 << 21
         assert result.details["connected_graphs"] == 1866256
-        assert result.details["positives"] > 0
+        assert result.details["connected_classes"] == 853
+        assert result.details["positives"] == 20769
 
 
 class TestConstructionCampaign:
@@ -121,7 +179,7 @@ class TestConstructionCampaign:
     def test_workers_do_not_change_prime5(self):
         seq = campaign_prime_order(5, workers=1)
         par = campaign_prime_order(5, workers=2)
-        assert seq.details["positives"] == par.details["positives"]
+        assert seq.details == par.details
         assert seq.counterexamples == par.counterexamples
 
 

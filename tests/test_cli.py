@@ -87,6 +87,12 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["graph"]["graph6"] == to_graph6(path_graph(3))
 
+    def test_empty_graph6_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n")
+        assert main(["analyze", "--file", str(path)]) == 2
+        assert "empty graph6 payload" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["analyze"]) == 2
 
