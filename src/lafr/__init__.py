@@ -17,7 +17,6 @@ from .errors import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    Orientation,
     cartesian_product,
     complement,
     complete_graph,
@@ -33,7 +32,6 @@ from .graphs import (
     parse_edgelist,
     parse_graph6,
     path_graph,
-    signed_incidence,
     spanning_tree_count,
     standard_graph,
     sylvester_hadamard,
@@ -63,7 +61,6 @@ from .spectral import (
 __all__ = [
     "Graph",
     "GraphFormatError",
-    "Orientation",
     "NonIntegerSupportError",
     "NotApplicableError",
     "SpecialSmallGraphError",
@@ -77,7 +74,6 @@ __all__ = [
     "to_graph6",
     "parse_edgelist",
     "laplacian",
-    "signed_incidence",
     "complement",
     "join",
     "disjoint_union",

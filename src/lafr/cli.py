@@ -19,6 +19,7 @@ from .campaigns import (
     campaign_prime_order,
     campaign_trees,
 )
+from .errors import SpecialSmallGraphError
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -78,7 +79,10 @@ def _cmd_analyze(args) -> int:
     if args.pairs:
         pairs = []
         for spec in args.pairs:
-            a, b = (int(x) for x in spec.split(","))
+            try:
+                a, b = (int(x) for x in spec.split(","))
+            except ValueError:
+                raise ValueError(f"--pairs {spec!r}: expected two vertices a,b") from None
             pairs.append((a, b))
     report = build_analysis_report(g, pairs=pairs, tol=args.tol)
     if args.json:
@@ -235,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SpecialSmallGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

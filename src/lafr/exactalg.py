@@ -3,14 +3,13 @@
 Integer polynomials are lists of arbitrary-precision coefficients in
 ascending degree order with a nonzero leading coefficient; the zero
 polynomial is the empty list.  This module holds the characteristic
-polynomial and its integer roots; the spectral idempotents built from
-them live in :mod:`lafr.spectral`.  Everything here is exact; the
+polynomial and the split of its integer roots from the cofactor they
+leave; the per-graph spectral object built from them lives in
+:mod:`lafr.spectral`.  Everything here is exact; the
 floating-point counterpart lives in :mod:`lafr.oracle`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 IntPoly = list[int]
 
@@ -23,10 +22,6 @@ def poly_normalize(coeffs) -> IntPoly:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_degree(p: IntPoly) -> int:
-    return len(p) - 1
 
 
 def poly_eval(p: IntPoly, x: int) -> int:
@@ -98,27 +93,3 @@ def split_integer_roots(p: IntPoly, lo: int, hi: int) -> tuple[dict[int, int], I
         if mult:
             roots[r] = mult
     return roots, q
-
-
-def integer_roots(p: IntPoly, lo: int, hi: int) -> dict[int, int]:
-    """Integer roots of ``p`` in [lo, hi], mapped to their multiplicities."""
-    return split_integer_roots(p, lo, hi)[0]
-
-
-def all_roots_integer(p: IntPoly, found: dict[int, int]) -> bool:
-    """Whether ``found`` (roots with multiplicity) accounts for every root.
-
-    True when the multiplicities sum to the degree and the root sum matches
-    the negated second-leading coefficient of the monic normalization;
-    in that case ``p`` splits over the integers.
-    """
-    deg = poly_degree(p)
-    if deg < 0:
-        return False
-    total = sum(found.values())
-    if total != deg:
-        return False
-    if deg == 0:
-        return True
-    root_sum = sum(r * m for r, m in found.items())
-    return Fraction(-p[-2], p[-1]) == root_sum

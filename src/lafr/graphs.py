@@ -60,34 +60,9 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(adjacency_sets(self)[v])
-
     def degrees(self) -> list[int]:
         adj = adjacency_sets(self)
         return [len(adj[v]) for v in range(self.n)]
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """A head/tail assignment for every edge of a graph.
-
-    ``arcs[i]`` is the ``(tail, head)`` pair for the i-th edge in the
-    graph's sorted edge order.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-
-
-def default_orientation(g: Graph) -> Orientation:
-    """Orientation with the lower-indexed endpoint as tail."""
-    return Orientation(tuple((u, v) for u, v in g.sorted_edges()))
 
 
 @functools.lru_cache(maxsize=512)
@@ -107,26 +82,6 @@ def laplacian(g: Graph) -> list[list[int]]:
         m[u][u] += 1
         m[v][v] += 1
     return m
-
-
-def signed_incidence(g: Graph, o: Orientation | None = None) -> list[list[int]]:
-    """Vertex-by-edge matrix with +1 at each head and -1 at each tail.
-
-    For any orientation the product with its own transpose equals the
-    Laplacian.  Columns follow the graph's sorted edge order.
-    """
-    if o is None:
-        o = default_orientation(g)
-    edges = g.sorted_edges()
-    if len(o.arcs) != len(edges) or any(
-        (min(t, h), max(t, h)) != e for (t, h), e in zip(o.arcs, edges)
-    ):
-        raise ValueError("orientation does not cover exactly the graph's edges")
-    b = [[0] * len(edges) for _ in range(g.n)]
-    for j, (tail, head) in enumerate(o.arcs):
-        b[tail][j] = -1
-        b[head][j] = 1
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +306,6 @@ def distances(g: Graph, a: int) -> list[int | None]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
-
-
-def eccentricity(g: Graph, a: int) -> int:
-    """Largest finite BFS distance from ``a``."""
-    return max(d for d in distances(g, a) if d is not None)
 
 
 def is_connected(g: Graph) -> bool:

@@ -18,7 +18,6 @@ from .graphs import Graph, laplacian
 
 _EIGH_MAX_N = 2000
 _SYMMETRY_TOL = 1e-12
-_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,38 +179,6 @@ def time_scan(
             if not hits or abs(hits[-1] - t_star) > dt / 2:
                 hits.append(float(t_star))
     return hits
-
-
-def cluster_eigenvalues(evals: np.ndarray, tol: float = _CLUSTER_TOL) -> list[list[int]]:
-    """Group eigenvalue indices into clusters separated by more than ``tol``."""
-    clusters: list[list[int]] = []
-    for i, ev in enumerate(evals):
-        if clusters and ev - evals[clusters[-1][-1]] <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
-def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bool:
-    """Heuristic strong-cospectrality probe from clustered idempotents.
-
-    Advisory only: it covers non-integer spectra that the exact test
-    declines, and never feeds the exact decision.
-    """
-    if not 0 < tol <= 1e-6:
-        raise ValueError("tolerance must lie in (0, 1e-6]")
-    spec = graph_spectrum(g)
-    v = spec.eigenvectors
-    for cluster in cluster_eigenvalues(spec.eigenvalues):
-        block = v[:, cluster]
-        col_a = block @ block[a]
-        col_b = block @ block[b]
-        same = float(np.abs(col_a - col_b).max())
-        opposite = float(np.abs(col_a + col_b).max())
-        if min(same, opposite) > tol:
-            return False
-    return True
 
 
 def revival_residual(

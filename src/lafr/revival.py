@@ -2,10 +2,13 @@
 
 The central routine classifies a vertex pair as admitting proper
 fractional revival, being strongly cospectral but merely periodic, or
-failing one of the structural requirements.  Times are exact rational
-multiples of pi throughout; nothing here touches floating point except
-the complement-transfer checker, which delegates to the numeric oracle
-by design.
+failing one of the structural requirements.  One classifier turns a
+pair's eigenvalue partition into a decision, both for an explicit pair
+and for the all-pairs scan, which classifies only pairs whose vertices
+share a bucket of sign-scaled idempotent rows (see :mod:`lafr.spectral`).
+Times are exact rational multiples of pi throughout; nothing here touches
+floating point except the complement-transfer checker, which delegates to
+the numeric oracle by design.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -19,6 +22,7 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import NotApplicableError, SpecialSmallGraphError
@@ -26,6 +30,7 @@ from .graphs import Graph, complement, is_connected, join
 from .spectral import (
     PairPartition,
     eigenvalue_support,
+    exact_spectrum,
     is_periodic,
     strong_cospectral,
 )
@@ -113,7 +118,11 @@ def class_gcd(part: PairPartition) -> int:
     plus = sorted(part.plus)
     minus = sorted(part.minus)
     if len(plus) < 2 and len(minus) < 2:
-        raise SpecialSmallGraphError("class gcd undefined for singleton classes")
+        # singleton classes happen exactly when {a, b} is an isolated edge
+        raise SpecialSmallGraphError(
+            f"pair {part.a},{part.b} is an isolated edge: it follows the "
+            "two-vertex schedule (see two_vertex_time_class)"
+        )
     g = 0
     for cls in (plus, minus):
         for x in cls[1:]:
@@ -147,11 +156,15 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     sup_b = eigenvalue_support(g, b)
     if not (sup_a.all_integer and sup_b.all_integer):
         return RevivalDecision(RevivalStatus.NON_INTEGER_SUPPORT, pair)
-    part = strong_cospectral(g, *pair)
+    return _classify(pair, strong_cospectral(g, *pair))
+
+
+def _classify(pair: tuple[int, int], part: PairPartition | None) -> RevivalDecision:
+    """Decision for a pair with all-integer supports from its partition,
+    ``None`` when the pair is not strongly cospectral; see
+    :func:`decide_proper_lafr`."""
     if part is None:
         return RevivalDecision(RevivalStatus.NOT_STRONGLY_COSPECTRAL, pair)
-    # singleton classes happen exactly when {a, b} is an isolated edge of a
-    # disconnected graph; that pair follows the two-vertex continuum schedule
     gg = class_gcd(part)
     residues = {mu % gg for mu in part.minus}
     k = residues.pop()
@@ -171,35 +184,21 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
 
 
 def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
-    """Decisions for every unordered pair, kept when revival or strong
-    cospectrality is present.
+    """Decisions for every strongly cospectral pair, sorted by pair.
 
-    Supports are computed once per vertex; pairs are pruned to equal-degree,
-    equal-support candidates before any exact projection work.  Output is
-    sorted lexicographically by pair.
+    Vertices with all-integer supports are bucketed on their sign-scaled
+    idempotent rows, and only pairs inside a bucket are classified: two
+    vertices are strongly cospectral exactly when they share a bucket.
+    An isolated edge follows the two-vertex schedule and is not listed.
     """
     if g.n < 3:
         raise SpecialSmallGraphError("all-pairs scan needs at least three vertices")
-    sups = [eigenvalue_support(g, v) for v in range(g.n)]
-    degs = g.degrees()
-    out = []
-    for a in range(g.n):
-        if not sups[a].all_integer:
-            continue
-        for b in range(a + 1, g.n):
-            if degs[a] != degs[b]:
-                continue
-            if not sups[b].all_integer:
-                continue
-            if sups[a].integer_eigenvalues != sups[b].integer_eigenvalues:
-                continue
-            try:
-                decision = decide_proper_lafr(g, a, b)
-            except SpecialSmallGraphError:
-                continue  # isolated-edge pair: continuum schedule, not listed
-            if decision.status in (RevivalStatus.PROPER, RevivalStatus.PERIODIC_ONLY):
-                out.append(decision)
-    return out
+    buckets: dict = {}
+    for v, rows in exact_spectrum(g).rows.items():
+        buckets.setdefault(rows, []).append(v)
+    skip = set(_isolated_edges(g))
+    pairs = sorted(p for vs in buckets.values() for p in combinations(vs, 2))
+    return [_classify(p, strong_cospectral(g, *p)) for p in pairs if p not in skip]
 
 
 def earliest_common_lafr_time(g: Graph) -> PiRational | None:

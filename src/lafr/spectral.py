@@ -1,16 +1,20 @@
 """Spectral idempotents, eigenvalue supports, periodicity, and exact
 strong cospectrality.
 
-Everything here reads from one exact object per graph: for each integer
-Laplacian eigenvalue mu, the idempotent E_mu = N_mu / d_mu with an
-integer matrix N_mu and an integer d_mu (see :func:`idempotents`).  The
+Everything here reads from one exact object per graph
+(:func:`exact_spectrum`): the integer roots of psi split from their
+cofactor r (the spectrum splits over the integers exactly when r == [1]),
+and for each integer Laplacian eigenvalue mu the idempotent
+E_mu = N_mu / d_mu with an integer matrix N_mu and an integer d_mu.  The
 integer part of a vertex's eigenvalue support is {mu : (E_mu)_aa != 0},
 and the support is all-integer exactly when those diagonal entries sum to
-1, since sum over all eigenvalues theta of (E_theta)_aa = 1.  Strong
-cospectrality compares rows of the N_mu, and is decided only for vertices
-whose supports are all-integer: that is the only case the revival
-decision ever needs, because a non-integer support already rules proper
-revival out.
+1, since sum over all eigenvalues theta of (E_theta)_aa = 1.  Two vertices
+with all-integer supports are strongly cospectral exactly when their rows
+of every N_mu, each scaled by the sign of its first nonzero entry, agree,
+so they can be bucketed on those rows.  Strong cospectrality is decided
+only for all-integer supports: that is the only case the revival decision
+ever needs, because a non-integer support already rules proper revival
+out.  Support sizes are computed only on demand (:func:`support_size`).
 """
 
 from __future__ import annotations
@@ -18,32 +22,21 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import NonIntegerSupportError, NotApplicableError
-from .exactalg import (
-    all_roots_integer,
-    char_poly,
-    integer_roots,
-    poly_eval,
-    split_integer_roots,
-)
+from .exactalg import IntPoly, char_poly, poly_eval, split_integer_roots
 from .graphs import Graph, is_connected, laplacian, spanning_tree_count
 
 
 @dataclass(frozen=True)
 class EigenvalueSupport:
-    """Integer part of a vertex's eigenvalue support.
-
-    ``support_size`` is the total number of distinct eigenvalues in the
-    support, integer or not; ``all_integer`` says whether the integer ones
-    account for all of them.
-    """
+    """Integer part of a vertex's eigenvalue support; ``all_integer`` says
+    whether it is the whole support."""
 
     vertex: int
     integer_eigenvalues: frozenset[int]
     all_integer: bool
-    support_size: int
 
 
 @dataclass(frozen=True)
@@ -69,23 +62,29 @@ class Periodicity:
     big_g: int | None
 
 
-@functools.lru_cache(maxsize=512)
-def graph_char_poly(g: Graph):
-    return char_poly(laplacian(g))
-
-
-@functools.lru_cache(maxsize=512)
-def laplacian_integer_eigenvalues(g: Graph) -> dict[int, int]:
-    """Integer Laplacian eigenvalues with multiplicities (scan range [0, n])."""
-    return integer_roots(graph_char_poly(g), 0, g.n)
-
-
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _shifted_laplacian_times(g: Graph, x: list[int], shift: int) -> list[int]:
-    """The vector (L - shift I) x, one pass over the edges of ``g``."""
-    y = [(d - shift) * v for d, v in zip(g.degrees(), x)]
+@dataclass(frozen=True)
+class ExactSpectrum:
+    """The exact spectral object of one graph (see the module docstring).
+
+    ``rows`` and ``signs`` hold exactly the vertices with all-integer
+    supports: per mu, the vertex's sign-scaled row of N_mu and that sign,
+    0 for a zero row.
+    """
+
+    roots: dict[int, int]  # integer eigenvalue -> multiplicity
+    cofactor: IntPoly
+    idempotents: dict[int, tuple[IntMatrix, int]]  # mu ascending -> (N_mu, d_mu)
+    rows: dict[int, IntMatrix]
+    signs: dict[int, tuple[int, ...]]
+
+
+def _shifted_laplacian_times(g: Graph, degs: list[int], x: list[int], shift: int) -> list[int]:
+    """The vector (L - shift I) x, one pass over the edges of ``g``, whose
+    vertex degrees the caller reads once and passes as ``degs``."""
+    y = [(d - shift) * v for d, v in zip(degs, x)]
     for u, v in g.edges:
         y[u] -= x[v]
         y[v] -= x[u]
@@ -93,35 +92,71 @@ def _shifted_laplacian_times(g: Graph, x: list[int], shift: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
-    """Spectral idempotent E_mu = N_mu / d_mu of every integer Laplacian
-    eigenvalue mu, as the pair (N_mu, d_mu), in ascending order of mu.
+def exact_spectrum(g: Graph) -> ExactSpectrum:
+    """Build the graph's exact spectral object, once per graph.
 
     N_mu = p_mu(L) and d_mu = p_mu(mu) for p_mu(t) = r(t) * prod(t - nu)
-    over the other integer eigenvalues nu, where r is psi with every
-    integer root divided out.  Since L is symmetric and p_mu vanishes at
-    every eigenvalue but mu, p_mu(L) = p_mu(mu) E_mu.  r(L) is evaluated
-    once per graph by Horner's rule on the sparse L.
+    over the other integer eigenvalues nu, where r is the cofactor.  Since
+    L is symmetric and p_mu vanishes at every eigenvalue but mu,
+    p_mu(L) = p_mu(mu) E_mu.  r(L) is evaluated once by Horner's rule on
+    the sparse L, with Python ints only.
     """
-    roots, r = split_integer_roots(graph_char_poly(g), 0, g.n)
+    roots, r = split_integer_roots(char_poly(laplacian(g)), 0, g.n)
+    degs = g.degrees()
     r_of_l = [[r[-1] * (i == j) for j in range(g.n)] for i in range(g.n)]
     for c in reversed(r[:-1]):
-        r_of_l = [_shifted_laplacian_times(g, row, 0) for row in r_of_l]
+        r_of_l = [_shifted_laplacian_times(g, degs, row, 0) for row in r_of_l]
         for i in range(g.n):
             r_of_l[i][i] += c
-    out = {}
+    idem = {}
     for mu in sorted(roots):
         num, den = r_of_l, poly_eval(r, mu)
         for nu in roots:
             if nu != mu:
-                num = [_shifted_laplacian_times(g, row, nu) for row in num]
+                num = [_shifted_laplacian_times(g, degs, row, nu) for row in num]
                 den *= mu - nu
-        out[mu] = (tuple(map(tuple, num)), den)
-    return out
+        idem[mu] = (tuple(map(tuple, num)), den)
+    rows, signs = {}, {}
+    for a in range(g.n):
+        if sum(Fraction(num[a][a], den) for num, den in idem.values()) != 1:
+            continue
+        firsts = [next((x for x in num[a] if x), 0) for num, _ in idem.values()]
+        signs[a] = tuple((x > 0) - (x < 0) for x in firsts)
+        rows[a] = tuple(
+            num[a] if s >= 0 else tuple(-x for x in num[a])
+            for s, (num, _) in zip(signs[a], idem.values())
+        )
+    return ExactSpectrum(roots, r, idem, rows, signs)
 
 
-def _moment_rank(g: Graph, a: int) -> int:
-    """Number of distinct eigenvalues in the support of vertex ``a``.
+def laplacian_integer_eigenvalues(g: Graph) -> dict[int, int]:
+    """Integer Laplacian eigenvalues with multiplicities (scan range [0, n])."""
+    return exact_spectrum(g).roots
+
+
+def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
+    """Spectral idempotent E_mu = N_mu / d_mu of every integer Laplacian
+    eigenvalue mu, as the pair (N_mu, d_mu), in ascending order of mu."""
+    return exact_spectrum(g).idempotents
+
+
+@functools.lru_cache(maxsize=4096)
+def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
+    if not 0 <= a < g.n:
+        raise ValueError("vertex out of range")
+    spec = exact_spectrum(g)
+    return EigenvalueSupport(
+        vertex=a,
+        integer_eigenvalues=frozenset(
+            mu for mu, (num, _) in spec.idempotents.items() if num[a][a]
+        ),
+        all_integer=a in spec.signs,
+    )
+
+
+def support_size(g: Graph, a: int) -> int:
+    """Number of distinct eigenvalues, integer or not, in the support of
+    vertex ``a``.
 
     The moments m_k = (L^k)_aa are sums of theta^k (E_theta)_aa with
     nonnegative weights, so the leading minors of the Hankel matrix
@@ -129,11 +164,13 @@ def _moment_rank(g: Graph, a: int) -> int:
     Fraction-free Bareiss elimination without pivoting, whose pivots are
     those minors, stops at the first zero pivot.
     """
-    n = g.n
+    if not 0 <= a < g.n:
+        raise ValueError("vertex out of range")
+    n, degs = g.n, g.degrees()
     x = [int(i == a) for i in range(n)]
     moments = [1]
     for _ in range(2 * n):
-        x = _shifted_laplacian_times(g, x, 0)
+        x = _shifted_laplacian_times(g, degs, x, 0)
         moments.append(x[a])
     h = [moments[i : i + n + 1] for i in range(n + 1)]
     k, prev = 0, 1
@@ -144,25 +181,6 @@ def _moment_rank(g: Graph, a: int) -> int:
                 h[i][j] = (h[i][j] * pivot - h[i][k] * h[k][j]) // prev
         k, prev = k + 1, pivot
     return k
-
-
-@functools.lru_cache(maxsize=4096)
-def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
-    if not 0 <= a < g.n:
-        raise ValueError("vertex out of range")
-    idem = idempotents(g)
-    diag = {mu: (num[a][a], den) for mu, (num, den) in idem.items() if num[a][a]}
-    # all-integer exactly when the integer diagonal entries N_aa / d sum to 1
-    total, common = 0, 1
-    for x, d in diag.values():
-        total, common = total * d + x * common, common * d
-    all_integer = total == common
-    return EigenvalueSupport(
-        vertex=a,
-        integer_eigenvalues=frozenset(diag),
-        all_integer=all_integer,
-        support_size=len(diag) if all_integer else _moment_rank(g, a),
-    )
 
 
 def is_periodic(g: Graph, a: int) -> Periodicity:
@@ -193,33 +211,24 @@ def eigenprojection_column(g: Graph, mu: int, a: int) -> list[Fraction]:
 def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     """Exact strong-cospectrality test with the induced eigenvalue classes.
 
-    Compares the whole idempotent column at every integer eigenvalue of the
-    Laplacian, and returns ``None`` as soon as one column pair is neither
-    equal nor opposite.  Both supports must be all-integer, otherwise the
-    exact test is not attempted.
+    The pair is strongly cospectral exactly when the sign-scaled idempotent
+    rows of the two vertices agree at every integer eigenvalue; the classes
+    come from the product of the two signs.  Returns ``None`` when the
+    rows differ.  Both supports must be all-integer, otherwise the exact
+    test is not attempted.
     """
-    if a == b:
-        raise ValueError("strong cospectrality needs two distinct vertices")
-    sup_a = eigenvalue_support(g, a)
-    sup_b = eigenvalue_support(g, b)
-    if not (sup_a.all_integer and sup_b.all_integer):
-        raise NonIntegerSupportError(
-            f"vertex {a if not sup_a.all_integer else b} has non-integer support"
-        )
-    plus, minus, zero = set(), set(), set()
-    for mu, (num, _) in idempotents(g).items():
-        row_a, row_b = num[a], num[b]
-        if not any(row_a):
-            if any(row_b):
-                return None
-            zero.add(mu)
-        elif row_a == row_b:
-            plus.add(mu)
-        elif all(x == -y for x, y in zip(row_a, row_b)):
-            minus.add(mu)
-        else:
-            return None
-    return PairPartition(a, b, frozenset(plus), frozenset(minus), frozenset(zero))
+    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+        raise ValueError("strong cospectrality needs two distinct vertices in range")
+    spec = exact_spectrum(g)
+    for v in (a, b):
+        if v not in spec.signs:
+            raise NonIntegerSupportError(f"vertex {v} has non-integer support")
+    if spec.rows[a] != spec.rows[b]:
+        return None
+    classes = {1: set(), -1: set(), 0: set()}
+    for mu, s, t in zip(spec.idempotents, spec.signs[a], spec.signs[b]):
+        classes[s * t].add(mu)
+    return PairPartition(a, b, *(frozenset(classes[k]) for k in (1, -1, 0)))
 
 
 def support_product_divides_trees(g: Graph, a: int) -> bool:
@@ -231,15 +240,11 @@ def support_product_divides_trees(g: Graph, a: int) -> bool:
     """
     if not is_connected(g):
         raise NotApplicableError("graph is disconnected")
-    psi = graph_char_poly(g)
-    full = laplacian_integer_eigenvalues(g)
-    if not all_roots_integer(psi, full):
+    spec = exact_spectrum(g)
+    if spec.cofactor != [1]:
         raise NotApplicableError("spectrum does not split over the integers")
     sup = eigenvalue_support(g, a)
     if not sup.all_integer:
         raise NotApplicableError("vertex support is not all-integer")
-    outside = [mu for mu in full if mu not in sup.integer_eigenvalues]
-    product = 1
-    for mu in outside:
-        product *= mu
-    return spanning_tree_count(g) % product == 0
+    outside = prod(mu for mu in spec.roots if mu not in sup.integer_eigenvalues)
+    return spanning_tree_count(g) % outside == 0

@@ -3,16 +3,21 @@
 The unlabeled connected corpus up to seven vertices comes from the
 networkx graph atlas, used here purely as an independent reference.
 Random graphs are drawn from a fixed seed so every run sees the same
-corpus.
+corpus.  The helpers below are references and test-only constructions
+that the package itself never calls: the exact kernel, signed incidence
+matrices, eccentricity, and the numeric strong-cospectrality probe.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from lafr.campaigns import campaign_prime_order, mask_to_graph
-from lafr.graphs import Graph
+from lafr.graphs import Graph, distances
+from lafr.oracle import graph_spectrum
 
 
 def atlas_connected(max_n: int) -> list[Graph]:
@@ -76,6 +81,79 @@ def kernel_basis(m) -> list[list[Fraction]]:
             vec[pc] = -a[r][free]
         basis.append(vec)
     return basis
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """A head/tail assignment for every edge of a graph.
+
+    ``arcs[i]`` is the ``(tail, head)`` pair for the i-th edge in the
+    graph's sorted edge order.
+    """
+
+    arcs: tuple[tuple[int, int], ...]
+
+
+def default_orientation(g: Graph) -> Orientation:
+    """Orientation with the lower-indexed endpoint as tail."""
+    return Orientation(tuple(sorted(g.edges)))
+
+
+def signed_incidence(g: Graph, o: Orientation | None = None) -> list[list[int]]:
+    """Vertex-by-edge matrix with +1 at each head and -1 at each tail.
+
+    For any orientation the product with its own transpose equals the
+    Laplacian.  Columns follow the graph's sorted edge order.
+    """
+    if o is None:
+        o = default_orientation(g)
+    edges = sorted(g.edges)
+    if len(o.arcs) != len(edges) or any(
+        (min(t, h), max(t, h)) != e for (t, h), e in zip(o.arcs, edges)
+    ):
+        raise ValueError("orientation does not cover exactly the graph's edges")
+    b = [[0] * len(edges) for _ in range(g.n)]
+    for j, (tail, head) in enumerate(o.arcs):
+        b[tail][j] = -1
+        b[head][j] = 1
+    return b
+
+
+def eccentricity(g: Graph, a: int) -> int:
+    """Largest finite BFS distance from ``a``."""
+    return max(d for d in distances(g, a) if d is not None)
+
+
+def cluster_eigenvalues(evals: np.ndarray, tol: float = 1e-8) -> list[list[int]]:
+    """Group eigenvalue indices into clusters separated by more than ``tol``."""
+    clusters: list[list[int]] = []
+    for i, ev in enumerate(evals):
+        if clusters and ev - evals[clusters[-1][-1]] <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bool:
+    """Numeric strong-cospectrality probe from clustered idempotents.
+
+    The floating-point reference that the exact test is compared against;
+    it also answers for non-integer spectra, which the exact test declines.
+    """
+    if not 0 < tol <= 1e-6:
+        raise ValueError("tolerance must lie in (0, 1e-6]")
+    spec = graph_spectrum(g)
+    v = spec.eigenvectors
+    for cluster in cluster_eigenvalues(spec.eigenvalues):
+        block = v[:, cluster]
+        col_a = block @ block[a]
+        col_b = block @ block[b]
+        same = float(np.abs(col_a - col_b).max())
+        opposite = float(np.abs(col_a + col_b).max())
+        if min(same, opposite) > tol:
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

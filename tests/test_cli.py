@@ -93,6 +93,20 @@ class TestAnalyze:
         assert main(["analyze", "--file", str(path)]) == 2
         assert "empty graph6 payload" in capsys.readouterr().err
 
+    def test_isolated_edge_pair(self, capsys):
+        # B_ is K2 + K1: the pair is an isolated edge, outside the
+        # characterization, which is a usage error and not a counterexample
+        assert main(["analyze", "--g6", "B_", "--pairs", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "two-vertex schedule" in line
+
+    def test_malformed_pair(self, capsys):
+        for spec in ("0", "0,1,2", "0,x"):
+            assert main(["analyze", "--g6", "P3", "--pairs", spec]) == 2
+            assert "a,b" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["analyze"]) == 2
 

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import kernel_basis, random_graph
-from lafr.exactalg import (
-    all_roots_integer,
-    char_poly,
-    integer_roots,
-    poly_eval,
-    split_integer_roots,
-)
+from lafr.exactalg import char_poly, poly_eval, split_integer_roots
 from lafr.graphs import laplacian, path_graph
 
 
@@ -63,17 +57,17 @@ class TestCharPoly:
 
 class TestIntegerRoots:
     def test_p3_char_poly(self):
-        assert integer_roots([0, 3, -4, 1], 0, 3) == {0: 1, 1: 1, 3: 1}
+        assert split_integer_roots([0, 3, -4, 1], 0, 3)[0] == {0: 1, 1: 1, 3: 1}
 
     def test_no_roots(self):
-        assert integer_roots([1, 0, 1], 0, 10) == {}
+        assert split_integer_roots([1, 0, 1], 0, 10)[0] == {}
 
     def test_multiplicity(self):
-        assert integer_roots([4, -4, 1], 0, 5) == {2: 2}
+        assert split_integer_roots([4, -4, 1], 0, 5)[0] == {2: 2}
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            integer_roots([], 0, 1)
+            split_integer_roots([], 0, 1)
 
     def test_split_cofactor(self):
         # t (t - 2)^2 (t^2 + 1): the cofactor keeps the root-free part
@@ -83,19 +77,21 @@ class TestIntegerRoots:
 
 
 class TestAllRootsInteger:
+    # a monic polynomial splits over the integers exactly when the cofactor
+    # left by its integer roots is the constant 1
+
     def test_full_split(self):
-        assert all_roots_integer([0, 3, -4, 1], {0: 1, 1: 1, 3: 1})
+        assert split_integer_roots([0, 3, -4, 1], 0, 5) == ({0: 1, 1: 1, 3: 1}, [1])
 
     def test_irrational_pair(self):
-        assert not all_roots_integer([-2, 0, 1], {})
+        assert split_integer_roots([-2, 0, 1], 0, 5) == ({}, [-2, 0, 1])
 
     def test_repeated_zero(self):
-        assert all_roots_integer([0, 0, 1], {0: 2})
+        assert split_integer_roots([0, 0, 1], 0, 5) == ({0: 2}, [1])
 
     def test_partial_find(self):
         # (t - 1)(t^2 - 2): integer root found but degree not covered
-        p = [2, -2, -1, 1]
-        assert not all_roots_integer(p, integer_roots(p, 0, 5))
+        assert split_integer_roots([2, -2, -1, 1], 0, 5) == ({1: 1}, [-2, 0, 1])
 
 
 class TestKernel:

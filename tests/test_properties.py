@@ -8,32 +8,32 @@ pipeline is exercised here at its stated tolerance.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import kernel_basis
+from conftest import eccentricity, kernel_basis, signed_incidence
 from lafr import oracle
 from lafr.errors import NotApplicableError
-from lafr.exactalg import all_roots_integer
+from lafr.exactalg import char_poly
 from lafr.graphs import (
     adjacency_sets,
     complement,
     distances,
-    eccentricity,
     is_connected,
     laplacian,
-    signed_incidence,
     spanning_tree_count,
 )
 from lafr.revival import RevivalStatus, all_lafr_pairs, amplitudes_at
 from lafr.spectral import (
     eigenprojection_column,
     eigenvalue_support,
-    graph_char_poly,
+    exact_spectrum,
     is_periodic,
     laplacian_integer_eigenvalues,
     strong_cospectral,
+    support_size,
 )
 
 
@@ -109,7 +109,7 @@ class TestMatrixTreeInvariants:
 
     def test_char_poly_linear_coefficient(self, corpus):
         for g in corpus:
-            psi = graph_char_poly(g)
+            psi = char_poly(laplacian(g))
             q = spanning_tree_count(g)
             assert psi[0] == 0
             assert abs(psi[1]) == g.n * q
@@ -131,12 +131,11 @@ class TestSupportInvariants:
             if not is_connected(g):
                 continue
             for a in range(g.n):
-                sup = eigenvalue_support(g, a)
-                assert sup.support_size >= eccentricity(g, a) + 1
+                assert support_size(g, a) >= eccentricity(g, a) + 1
 
     def test_char_poly_vanishes_at_numeric_eigenvalues(self, corpus):
         for g in corpus[::7]:
-            psi = graph_char_poly(g)
+            psi = char_poly(laplacian(g))
             scale = max(1.0, max(abs(c) for c in psi))
             for mu in oracle.graph_spectrum(g).eigenvalues:
                 value = sum(c * mu**k for k, c in enumerate(psi))
@@ -155,7 +154,7 @@ class TestSupportInvariants:
     def test_projection_resolution_of_identity(self, corpus):
         for g in corpus[::13]:
             mults = laplacian_integer_eigenvalues(g)
-            if not all_roots_integer(graph_char_poly(g), mults):
+            if sum(mults.values()) != g.n:  # spectrum does not split over the integers
                 continue
             for a in range(g.n):
                 total = [Fraction(0)] * g.n
@@ -197,11 +196,36 @@ class TestPartitionInvariants:
                 assert swapped.plus == d.partition.plus
                 assert swapped.minus == d.partition.minus
 
+    def test_buckets_match_pairwise_reference(self, corpus_pairs):
+        # negative verdicts too: two vertices with all-integer supports share
+        # a bucket exactly when their eigenprojection columns are equal or
+        # opposite at every integer eigenvalue, and all_lafr_pairs lists
+        # exactly those pairs apart from isolated edges
+        for g, decisions in corpus_pairs:
+            spec = exact_spectrum(g)
+            verts = [v for v in range(g.n) if eigenvalue_support(g, v).all_integer]
+            assert sorted(spec.rows) == verts
+            cols = {
+                v: [eigenprojection_column(g, mu, v) for mu in spec.idempotents]
+                for v in verts
+            }
+            reference = set()
+            for a, b in combinations(verts, 2):
+                cospectral = all(
+                    x == y or x == [-e for e in y] for x, y in zip(cols[a], cols[b])
+                )
+                assert (spec.rows[a] == spec.rows[b]) == cospectral
+                if cospectral:
+                    reference.add((a, b))
+            degs = g.degrees()
+            isolated = {(u, v) for u, v in g.edges if degs[u] == degs[v] == 1}
+            assert {d.pair for d in decisions} == reference - isolated
+
     def test_equal_degrees(self, corpus_pairs):
         for g, decisions in corpus_pairs:
             for d in decisions:
                 a, b = d.pair
-                assert g.degree(a) == g.degree(b)
+                assert g.degrees()[a] == g.degrees()[b]
 
     def test_idempotent_class_sums(self, corpus_pairs):
         half = Fraction(1, 2)
@@ -226,8 +250,8 @@ class TestPartitionInvariants:
             for d in decisions:
                 a, b = d.pair
                 part = d.partition
-                sigma = 1 if g.has_edge(a, b) else 0
-                deg = Fraction(g.degree(a))
+                sigma = 1 if (a, b) in g.edges else 0
+                deg = Fraction(g.degrees()[a])
                 plus_nonzero = [mu for mu in part.plus if mu]
                 lam_p, theta_p = min(plus_nonzero), max(part.plus)
                 lam_m, theta_m = min(part.minus), max(part.minus)
@@ -304,7 +328,7 @@ class TestRevivalInvariants:
                 continue
             for d in decisions:
                 if d.status is RevivalStatus.PROPER:
-                    assert g.degree(d.pair[0]) >= 2
+                    assert g.degrees()[d.pair[0]] >= 2
 
     def test_oracle_soundness(self, corpus_pairs):
         for g, decisions in corpus_pairs:
