@@ -216,16 +216,20 @@ def campaign_prime_order(p: int, workers: int = 1) -> CampaignResult:
     isomorphism class is decided once, exactly, on its key, and the verdict
     holds for every labeled graph in the class.  ``positives`` counts
     labeled graphs; ``counterexamples`` lists one graph6 per isomorphism
-    class.
+    class.  Masks are keyed in 2^_CHUNK_BITS-mask jobs, on a process pool
+    of at most one worker per job when ``workers`` (at least 1) exceeds 1.
     """
     if p not in (5, 7):
         raise ValueError("prime-order campaign supports p in {5, 7}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     total_masks = 1 << (p * (p - 1) // 2)
     chunk = 1 << _CHUNK_BITS
     los = range(0, total_masks, chunk)
     jobs = ([p] * len(los), los, [min(lo + chunk, total_masks) for lo in los])
 
+    workers = min(workers, len(los))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             keys = np.concatenate(list(pool.map(canonical_masks, *jobs, chunksize=1)))

@@ -120,6 +120,9 @@ def _cmd_construct(args) -> int:
     name = args.name
     params = args.params
     try:
+        needs = {"double-cone": "over", "hadamard": "sylvester"}.get(name)
+        if needs and getattr(args, needs) is None:
+            raise ValueError(f"{name} needs --{needs}")
         if name in ("path", "cycle", "complete", "empty"):
             g = standard_graph(name, int(params[0]))
         elif name == "double-cone":

@@ -3,8 +3,9 @@
 Everything here is double precision and deliberately separate from the
 exact pipeline, so the two routes can check each other.  The workhorses
 are the spectral decomposition of the Laplacian, the walk operator
-U(t) = exp(+i t L), block-form detection for a candidate revival pair,
-and dense time scans.
+U(t) = exp(+i t L), the leakage of a vertex pair's two rows of U(t) over a
+vector of times, and dense time scans, which read U(t) only through those
+two rows and refine all their candidate times at once.
 """
 
 from __future__ import annotations
@@ -30,21 +31,6 @@ class Spectrum:
 class TransitionMatrix:
     time: float
     entries: np.ndarray  # dense complex, unitary and symmetric
-
-
-@dataclass(frozen=True)
-class BlockCheck:
-    """Result of probing U(t) for the two-by-two revival block.
-
-    ``leakage`` is the largest off-pair magnitude in the two probed rows
-    either way; the amplitude fields are meaningful only when ``found``.
-    """
-
-    found: bool
-    alpha: complex
-    beta: complex
-    gamma: complex
-    leakage: float
 
 
 def eigh(m) -> Spectrum:
@@ -80,62 +66,45 @@ def transition_matrix(g: Graph, t: float) -> TransitionMatrix:
     return TransitionMatrix(time=float(t), entries=entries)
 
 
-def block_fr_check(u: TransitionMatrix, a: int, b: int, tol: float) -> BlockCheck:
-    """Detect the revival block of a pair: off-pair entries below ``tol``."""
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tolerance must lie in (0, 1e-3]")
-    m = u.entries
-    n = m.shape[0]
-    others = [j for j in range(n) if j not in (a, b)]
-    if others:
-        rows = np.abs(m[np.ix_([a, b], others)])
-        cols = np.abs(m[np.ix_(others, [a, b])])
-        leakage = float(max(rows.max(), cols.max()))
-    else:
-        leakage = 0.0
-    return BlockCheck(
-        found=leakage <= tol,
-        alpha=complex(m[a, a]),
-        beta=complex(m[a, b]),
-        gamma=complex(m[b, b]),
-        leakage=leakage,
-    )
+def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
+    """Leakage and |beta| of the pair over a vector of times, in one
+    vectorized pass over rows a and b of U(t).
 
-
-def _pair_leakage_grid(g: Graph, a: int, b: int, times: np.ndarray):
-    """Leakage and |beta| over a vector of times, in one vectorized pass."""
+    Leakage is the largest magnitude U(t) carries from a or b to any other
+    vertex (U(t) is symmetric, so rows and columns agree); beta is U(t)[a, b].
+    """
     spec = graph_spectrum(g)
     v = spec.eigenvectors
     others = [j for j in range(g.n) if j not in (a, b)]
     # U(t)[a, :] = sum_r exp(i t mu_r) v[a, r] * v[:, r]
     phases = np.exp(1j * np.outer(times, spec.eigenvalues))  # (T, n)
-    row_a = phases * v[a]  # coefficients per eigenvector
-    row_b = phases * v[b]
-    u_a = row_a @ v.T  # (T, n)
-    u_b = row_b @ v.T
+    u_a = (phases * v[a]) @ v.T  # (T, n)
+    u_b = (phases * v[b]) @ v.T
     if others:
         leak = np.maximum(
             np.abs(u_a[:, others]).max(axis=1), np.abs(u_b[:, others]).max(axis=1)
         )
     else:
         leak = np.zeros(len(times))
-    beta = np.abs(u_a[:, b])
-    return leak, beta
+    return leak, np.abs(u_a[:, b])
 
 
-def _refine_minimum(fn, lo: float, hi: float, steps: int = 20) -> float:
-    """Shrink [lo, hi] around the minimum of a unimodal dip by bisection.
+def _refine_minimum(g: Graph, a: int, b: int, lo, hi, steps: int = 20):
+    """Shrink every bracket [lo, hi] around the minimum of its unimodal
+    leakage dip by bisection, all brackets at once.
 
-    Each step probes the local slope at the midpoint and keeps the downhill
-    half, so the bracket halves per step.
+    Each step probes the local slope at every midpoint in one
+    :func:`pair_leakage` call and keeps the downhill half of each bracket,
+    so every bracket halves per step.
     """
+    k = len(lo)
     for _ in range(steps):
         mid = (lo + hi) / 2.0
         delta = (hi - lo) / 64.0
-        if fn(mid - delta) <= fn(mid + delta):
-            hi = mid + delta
-        else:
-            lo = mid - delta
+        leak, _ = pair_leakage(g, a, b, np.concatenate([mid - delta, mid + delta]))
+        left = leak[:k] <= leak[k:]  # the left half is downhill
+        lo = np.where(left, lo, mid - delta)
+        hi = np.where(left, mid + delta, hi)
     return (lo + hi) / 2.0
 
 
@@ -150,34 +119,31 @@ def time_scan(
 ) -> list[float]:
     """Grid-scan (0, t_max] for revival events of a pair.
 
-    Grid points whose leakage dips below a coarse gate are refined by 20
-    bisection steps on the leakage function; a refined time is reported only
-    if its leakage passes ``leak_tol`` with |beta| above ``beta_min``.  The
-    coarse gate scales with the grid pitch because leakage grows linearly
-    when moving away from an exact revival time.
+    Grid points whose leakage dips below a coarse gate are refined together
+    by 20 bisection steps on the leakage function; a refined time is
+    reported only if its leakage passes ``leak_tol`` with |beta| above
+    ``beta_min``.  The coarse gate scales with the grid pitch because
+    leakage grows linearly when moving away from an exact revival time.
+    U(t) is read only through :func:`pair_leakage`, once for the grid,
+    once per bisection step and once for the refined times, however many
+    candidates there are.
     """
     if steps < 1:
         raise ValueError("need at least one grid step")
     dt = t_max / steps
     times = dt * np.arange(1, steps + 1)
-    leak, beta = _pair_leakage_grid(g, a, b, times)
-    spec = graph_spectrum(g)
-    slope = max(1.0, float(spec.eigenvalues[-1]))
+    leak, beta = pair_leakage(g, a, b, times)
+    slope = max(1.0, float(graph_spectrum(g).eigenvalues[-1]))
     gate = max(leak_tol, slope * dt)
-
-    def leakage_at(t: float) -> float:
-        return float(_pair_leakage_grid(g, a, b, np.array([t]))[0][0])
-
+    near = times[(leak <= gate) & (beta > beta_min)]
+    t_star = _refine_minimum(
+        g, a, b, np.maximum(near - dt, 1e-12), np.minimum(near + dt, t_max)
+    )
+    leak, beta = pair_leakage(g, a, b, t_star)
     hits: list[float] = []
-    for i in np.flatnonzero((leak <= gate) & (beta > beta_min)):
-        lo = max(times[i] - dt, 1e-12)
-        hi = min(times[i] + dt, t_max)
-        t_star = _refine_minimum(leakage_at, lo, hi)
-        u = transition_matrix(g, t_star)
-        check = block_fr_check(u, a, b, 1e-3)
-        if check.leakage <= leak_tol and abs(check.beta) > beta_min:
-            if not hits or abs(hits[-1] - t_star) > dt / 2:
-                hits.append(float(t_star))
+    for t in t_star[(leak <= leak_tol) & (beta > beta_min)]:
+        if not hits or abs(hits[-1] - t) > dt / 2:
+            hits.append(float(t))
     return hits
 
 

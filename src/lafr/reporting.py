@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import pi
+from math import inf, pi
 
 from . import __version__, oracle
 from .graphs import Graph, to_graph6
@@ -83,8 +83,11 @@ def build_analysis_report(
 
     Without explicit ``pairs`` the decisions cover every pair that is
     proper or strongly cospectral; with ``pairs`` the listed pairs are
-    decided regardless of outcome.
+    decided regardless of outcome.  ``tol`` bounds the oracle residual of a
+    verified PROPER pair and must be finite and positive.
     """
+    if not 0 < tol < inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     start = time.perf_counter()
     decisions: list[dict] = []
     note = None

@@ -29,7 +29,6 @@ from .errors import NotApplicableError, SpecialSmallGraphError
 from .graphs import Graph, complement, is_connected, join
 from .spectral import (
     PairPartition,
-    eigenvalue_support,
     exact_spectrum,
     is_periodic,
     strong_cospectral,
@@ -152,9 +151,8 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("need two distinct vertices in range")
     pair = (a, b) if a < b else (b, a)
-    sup_a = eigenvalue_support(g, a)
-    sup_b = eigenvalue_support(g, b)
-    if not (sup_a.all_integer and sup_b.all_integer):
+    signs = exact_spectrum(g).signs
+    if a not in signs or b not in signs:
         return RevivalDecision(RevivalStatus.NON_INTEGER_SUPPORT, pair)
     return _classify(pair, strong_cospectral(g, *pair))
 

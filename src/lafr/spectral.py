@@ -140,7 +140,6 @@ def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
     return exact_spectrum(g).idempotents
 
 
-@functools.lru_cache(maxsize=4096)
 def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
     if not 0 <= a < g.n:
         raise ValueError("vertex out of range")

@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from lafr import campaigns
 from lafr.campaigns import (
     _confirm_masks,
     all_graph_masks,
@@ -176,11 +177,57 @@ class TestConstructionCampaign:
         assert result.details["double_cones_checked"] == 1099
         assert result.details["threshold_ok"]
 
-    def test_workers_do_not_change_prime5(self):
+    def test_workers_do_not_change_prime5(self, monkeypatch):
         seq = campaign_prime_order(5, workers=1)
+        # 2^10 masks in 2^8-mask chunks: 4 jobs on a real 2-process pool
+        monkeypatch.setattr(campaigns, "_CHUNK_BITS", 8)
         par = campaign_prime_order(5, workers=2)
         assert seq.details == par.details
         assert seq.counterexamples == par.counterexamples
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker process is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def recording_pool(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+
+    def test_one_job_runs_serially(self):
+        # prime-5 is one 2^10-mask job: a second process would have no work
+        seq = campaign_prime_order(5, workers=1)
+        assert campaign_prime_order(5, workers=2).details == seq.details
+        assert RecordingPool.sizes == []
+
+    def test_pool_never_exceeds_job_count(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "_CHUNK_BITS", 8)  # 4 jobs
+        for workers in (2, 4, 1000):
+            campaign_prime_order(5, workers=workers)
+        assert RecordingPool.sizes == [2, 4, 4]
+
+    def test_rejects_fewer_than_one_worker(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                campaign_prime_order(5, workers=workers)
+        assert RecordingPool.sizes == []
 
 
 class TestCycleWithChords:

@@ -110,6 +110,15 @@ class TestAnalyze:
     def test_usage_error(self):
         assert main(["analyze"]) == 2
 
+    def test_tolerance_must_be_finite_and_positive(self, capsys):
+        for tol in ("nan", "0", "-1e-9", "inf", "-inf"):
+            assert main(["analyze", "--g6", "P3", "--json", f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tolerance" in captured.err
+        assert main(["analyze", "--g6", "P3", "--json", "--tol", "1e-12"]) == 0
+        [d] = json.loads(capsys.readouterr().out)["decisions"]
+        assert d["oracle_verified"] is True
+
     def test_json_round_trip(self):
         report = build_analysis_report(cycle_graph(6))
         assert json.loads(json.dumps(report)) == report
@@ -166,6 +175,17 @@ class TestConstruct:
     def test_bad_params(self, capsys):
         assert main(["construct", "path"]) == 2
 
+    def test_missing_required_option(self, capsys):
+        for argv, option in (
+            (["construct", "double-cone"], "--over"),
+            (["construct", "hadamard"], "--sylvester"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("bad constructor parameters") and option in line
+
 
 class TestCampaignCommand:
     def test_trees_small(self, capsys, tmp_path):
@@ -179,3 +199,8 @@ class TestCampaignCommand:
     def test_prime5(self, capsys):
         assert main(["campaign", "prime5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_workers_below_one(self, capsys):
+        for workers in ("0", "-2"):
+            assert main(["campaign", "prime5", "--workers", workers]) == 2
+            assert "workers must be at least 1" in capsys.readouterr().err

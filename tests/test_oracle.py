@@ -1,4 +1,4 @@
-"""Floating-point oracle: spectra, walk operators, block detection, scans."""
+"""Floating-point oracle: spectra, walk operators, pair leakage, scans."""
 
 import math
 from random import Random
@@ -124,32 +124,38 @@ class TestTransitionMatrix:
             oracle.transition_matrix(path_graph(2), math.inf)
 
 
-class TestBlockCheck:
+class TestPairLeakage:
     def test_p3_revival_block(self):
-        u = oracle.transition_matrix(path_graph(3), 2 * math.pi / 3)
-        check = oracle.block_fr_check(u, 0, 2, 1e-9)
-        assert check.found
-        assert abs(abs(check.beta) ** 2 - 0.75) <= 1e-9
-        assert abs(check.alpha - check.gamma) <= 1e-9
+        g, t = path_graph(3), 2 * math.pi / 3
+        leak, beta = oracle.pair_leakage(g, 0, 2, np.array([t]))
+        assert leak[0] <= 1e-9
+        assert abs(beta[0] ** 2 - 0.75) <= 1e-9
+        u = oracle.transition_matrix(g, t).entries
+        assert abs(u[0, 0] - u[2, 2]) <= 1e-9
 
     def test_wrong_pair_leaks(self):
-        u = oracle.transition_matrix(path_graph(3), 2 * math.pi / 3)
-        check = oracle.block_fr_check(u, 0, 1, 1e-3)
-        assert not check.found
-        assert check.leakage > 0.5
+        leak, _ = oracle.pair_leakage(path_graph(3), 0, 1, np.array([2 * math.pi / 3]))
+        assert leak[0] > 0.5
 
     def test_any_pair_at_time_zero(self):
-        u = oracle.transition_matrix(cycle_graph(5), 0.0)
+        g = cycle_graph(5)
         for a in range(5):
             for b in range(a + 1, 5):
-                check = oracle.block_fr_check(u, a, b, 1e-9)
-                assert check.found
-                assert abs(check.alpha - 1) <= 1e-12 and abs(check.beta) <= 1e-12
+                leak, beta = oracle.pair_leakage(g, a, b, np.array([0.0]))
+                assert leak[0] <= 1e-12 and beta[0] <= 1e-12
 
-    def test_tolerance_validated(self):
-        u = oracle.transition_matrix(path_graph(3), 1.0)
-        with pytest.raises(ValueError):
-            oracle.block_fr_check(u, 0, 1, 0.5)
+    def test_matches_transition_matrix_rows(self):
+        rng = Random(131)
+        for _ in range(8):
+            g = random_graph(rng, rng.randint(3, 12))
+            a, b = rng.sample(range(g.n), 2)
+            times = np.array([rng.uniform(0, 10) for _ in range(5)])
+            leak, beta = oracle.pair_leakage(g, a, b, times)
+            others = [j for j in range(g.n) if j not in (a, b)]
+            for t, lk, bt in zip(times, leak, beta):
+                u = oracle.transition_matrix(g, t).entries
+                assert abs(lk - np.abs(u[np.ix_([a, b], others)]).max()) <= 1e-12
+                assert abs(bt - abs(u[a, b])) <= 1e-12
 
 
 class TestTimeScan:
@@ -170,6 +176,35 @@ class TestTimeScan:
     def test_c6_antipodal(self):
         hits = oracle.time_scan(cycle_graph(6), 0, 3, 2 * math.pi, 720)
         assert any(abs(h - 2 * math.pi / 3) <= 1e-6 for h in hits)
+
+    def test_reads_only_pair_rows(self, monkeypatch):
+        def no_full_matrix(g, t):
+            raise AssertionError("time_scan built a full U(t)")
+
+        monkeypatch.setattr(oracle, "transition_matrix", no_full_matrix)
+        # both pairs have class gcd 3 and phase residue 1: revival at 2pi/3
+        # and 4pi/3, while 2pi is a period of the pair
+        expect = [2 * math.pi / 3, 4 * math.pi / 3]
+        for g, a, b in ((path_graph(3), 0, 2), (cycle_graph(6), 0, 3)):
+            hits = oracle.time_scan(g, a, b, 2 * math.pi, 720)
+            assert len(hits) == 2
+            assert all(abs(h - e) <= 1e-6 for h, e in zip(hits, expect))
+
+    def test_pair_leakage_passes_per_scan(self, monkeypatch):
+        # one pass for the grid, one per bisection step, one for acceptance,
+        # however many candidates the grid yields
+        sizes = []
+        real = oracle.pair_leakage
+
+        def counting(g, a, b, times):
+            sizes.append(len(times))
+            return real(g, a, b, times)
+
+        monkeypatch.setattr(oracle, "pair_leakage", counting)
+        hits = oracle.time_scan(path_graph(2), 0, 1, 2 * math.pi, 144)
+        assert len(sizes) == 22
+        assert sizes[0] == 144 and len(hits) <= sizes[-1]
+        assert set(sizes[1:21]) == {2 * sizes[-1]}
 
 
 class TestNumericStrongCospectral:
