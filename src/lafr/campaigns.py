@@ -2,17 +2,16 @@
 
 Three corpora drive the campaigns: unlabeled free trees, all labeled
 graphs on a fixed small vertex count (adjacency bitmasks), and a fixed
-battery of constructions.  The prime-order campaign keys every bitmask by
-its canonical form, the least mask over all relabelings, and decides each
-isomorphism class once with the exact pipeline; no graph is screened out
-and no verdict touches floating point.
+battery of constructions.  The prime-order campaign builds the isomorphism
+classes by vertex augmentation, keyed by their least relabeling, decides
+each class once with the exact pipeline and certifies that the class orbits
+cover every labeled graph; no verdict touches floating point.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -52,12 +51,6 @@ from .revival import (
 )
 from .spectral import strong_cospectral
 from .trees import MAX_TREE_N, free_trees
-
-_CHUNK_BITS = 15
-# masks keyed per numpy step: at p = 7 one 32 x 5040 int32 block (645 KB)
-# keeps the table gathers cache-resident; 16 to 32 measured fastest
-_KEY_BATCH = 32
-
 
 @dataclass
 class CampaignResult:
@@ -125,21 +118,34 @@ def _relabel_tables(p: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def canonical_masks(p: int, lo: int, hi: int) -> np.ndarray:
-    """Canonical key of every mask in [lo, hi): its least relabeling.
+def relabelings(p: int, masks) -> np.ndarray:
+    """Every relabeling of each mask: one row of p! masks per mask."""
+    masks = np.asarray(masks, dtype=np.int64)
+    rows = [t[(masks >> 8 * k) & 0xFF] for k, t in enumerate(_relabel_tables(p))]
+    return functools.reduce(np.bitwise_or, rows)
+
+
+def canonical_masks(p: int, masks) -> np.ndarray:
+    """Canonical key of each mask: its least relabeling.
 
     Two masks share a key exactly when their graphs are isomorphic, and the
     key is itself a mask of that isomorphism class.
     """
-    tables = _relabel_tables(p)
-    masks = np.arange(lo, hi, dtype=np.int64)
-    keys = np.empty(len(masks), dtype=np.int32)
-    for s in range(0, len(masks), _KEY_BATCH):
-        batch = masks[s : s + _KEY_BATCH]
-        rows = tables[0][batch & 0xFF]
-        for k in range(1, len(tables)):
-            rows |= tables[k][(batch >> (8 * k)) & 0xFF]
-        keys[s : s + _KEY_BATCH] = rows.min(axis=1)
+    return relabelings(p, masks).min(axis=1)
+
+
+def isomorphism_classes(p: int) -> np.ndarray:
+    """Sorted canonical keys of the isomorphism classes on p vertices.
+
+    Vertex augmentation (Read 1978; McKay 1998): each class on n - 1
+    vertices gains a new vertex 0 with each of its 2^(n-1) neighbour sets.
+    The old pairs move up n - 1 bits and the new vertex's pairs fill the low
+    bits of the lexicographic pair order.
+    """
+    keys = np.zeros(1, dtype=np.int32)  # the one graph on one vertex
+    for n in range(2, p + 1):
+        low = np.arange(1 << (n - 1))
+        keys = np.unique([canonical_masks(n, (k << (n - 1)) | low) for k in keys])
     return keys
 
 
@@ -208,39 +214,28 @@ def _confirm_masks(p: int, masks: list[int]) -> tuple[list[int], list[str]]:
     return positives, counterexamples
 
 
-def campaign_prime_order(p: int, workers: int = 1) -> CampaignResult:
+def campaign_prime_order(p: int) -> CampaignResult:
     """Every connected labeled graph on a prime vertex count: any graph
     admitting proper revival must be a double cone.
 
-    Every labeled bitmask is keyed by its canonical form; each connected
-    isomorphism class is decided once, exactly, on its key, and the verdict
-    holds for every labeled graph in the class.  ``positives`` counts
-    labeled graphs; ``counterexamples`` lists one graph6 per isomorphism
-    class.  Masks are keyed in 2^_CHUNK_BITS-mask jobs, on a process pool
-    of at most one worker per job when ``workers`` (at least 1) exceeds 1.
+    Each connected isomorphism class is decided once, exactly, on its key,
+    and the verdict holds for its whole orbit of p!/|Aut| labeled graphs.
+    The orbits must sum to all 2^(p(p-1)/2) labeled graphs: a completeness
+    certificate checked on every run.  ``positives`` counts labeled graphs;
+    ``counterexamples`` lists one graph6 per isomorphism class.
     """
     if p not in (5, 7):
         raise ValueError("prime-order campaign supports p in {5, 7}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     total_masks = 1 << (p * (p - 1) // 2)
-    chunk = 1 << _CHUNK_BITS
-    los = range(0, total_masks, chunk)
-    jobs = ([p] * len(los), los, [min(lo + chunk, total_masks) for lo in los])
-
-    workers = min(workers, len(los))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            keys = np.concatenate(list(pool.map(canonical_masks, *jobs, chunksize=1)))
-    else:
-        keys = np.concatenate(list(map(canonical_masks, *jobs)))
-    classes, sizes = np.unique(keys, return_counts=True)
-    connected = np.array(
-        [is_connected(mask_to_graph(p, int(key))) for key in classes], dtype=bool
-    )
+    classes = isomorphism_classes(p)
+    rows = relabelings(p, classes)
+    orbits = rows.shape[1] // (rows == classes[:, None]).sum(axis=1)  # p! / |Aut|
+    if orbits.sum() != total_masks:
+        raise RuntimeError(f"class orbits cover {orbits.sum()} of {total_masks} masks")
+    connected = np.array([is_connected(mask_to_graph(p, k)) for k in classes.tolist()])
     positive_keys, counterexamples = _confirm_masks(p, classes[connected].tolist())
-    positives = np.flatnonzero(np.isin(keys, positive_keys))
+    positive = np.isin(classes, positive_keys)
     counterexamples.sort()
     return CampaignResult(
         name=f"prime{p}",
@@ -248,10 +243,12 @@ def campaign_prime_order(p: int, workers: int = 1) -> CampaignResult:
         counterexamples=counterexamples,
         wall_time_s=time.perf_counter() - start,
         details={
-            "connected_graphs": int(sizes[connected].sum()),
+            "connected_graphs": int(orbits[connected].sum()),
             "connected_classes": int(connected.sum()),
-            "positives": len(positives),
-            "positive_masks_sample": positives[:16].tolist(),
+            "positives": int(orbits[positive].sum()),
+            "positive_masks_sample": np.unique(rows[positive])[:16].tolist(),
+            "classes": len(classes),
+            "positive_classes": len(positive_keys),
         },
     )
 

@@ -151,12 +151,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     if args.name == "trees":
         result = campaign_trees(args.max_n)
-    elif args.name == "prime5":
-        result = campaign_prime_order(5, workers=args.workers)
-    elif args.name == "prime7":
-        result = campaign_prime_order(7, workers=args.workers)
+    elif args.name in ("prime5", "prime7"):
+        result = campaign_prime_order(int(args.name[-1]))
     else:
         result = campaign_constructions()
     report = campaign_report(result)
@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cam.add_argument(
         "name", choices=("trees", "prime5", "prime7", "constructions")
     )
-    p_cam.add_argument("--workers", type=int, default=1)
+    p_cam.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; campaigns run in one process")
     p_cam.add_argument("--json", metavar="PATH", help="write JSON report here")
     p_cam.add_argument("--max-n", type=int, default=10,
                        help="largest tree size for the tree campaign")

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per acceptance criterion, at stated tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion.  The extended prime-order run (2^21 bitmasks on seven vertices)
-is marked slow; a plain run includes it, ``-m slow`` runs only the slow
-tests and ``-m "not slow"`` leaves them out.
+criterion.  The extended prime-order run (the 1044 isomorphism classes on
+seven vertices, built by vertex augmentation, whose orbits cover all 2^21
+labeled graphs; about a second) is marked slow; a plain run includes it,
+``-m slow`` runs only the slow tests and ``-m "not slow"`` leaves them out.
 """
 
 import math

@@ -15,8 +15,10 @@ from lafr.campaigns import (
     campaign_trees,
     canonical_masks,
     graph_to_mask,
+    isomorphism_classes,
     mask_to_graph,
     pair_table,
+    relabelings,
 )
 from lafr.graphs import (
     Graph,
@@ -48,7 +50,7 @@ def relabel(g: Graph, perm) -> Graph:
 
 
 def canonical_key(n: int, mask: int) -> int:
-    return int(canonical_masks(n, mask, mask + 1)[0])
+    return int(canonical_masks(n, [mask])[0])
 
 
 class TestCanonicalKey:
@@ -61,7 +63,7 @@ class TestCanonicalKey:
             G.add_edges_from(mask_to_graph(5, mask).edges)
             return G
 
-        keys = canonical_masks(5, 0, 1024)
+        keys = canonical_masks(5, np.arange(1024))
         classes = np.unique(keys).tolist()
         assert len(classes) == 34
         assert sum(is_connected(mask_to_graph(5, k)) for k in classes) == 21
@@ -83,9 +85,32 @@ class TestCanonicalKey:
             relabeled = graph_to_mask(relabel(mask_to_graph(7, mask), perm))
             assert canonical_key(7, relabeled) == canonical_key(7, mask)
 
-    def test_chunk_boundaries(self):
-        keys = canonical_masks(7, 0, 1 << 12)
-        assert keys[1000:1100].tolist() == canonical_masks(7, 1000, 1100).tolist()
+
+class TestIsomorphismClasses:
+    def test_counts_are_a000088(self):
+        counts = [len(isomorphism_classes(p)) for p in range(1, 8)]
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+    def test_p6_matches_brute_force_keys(self):
+        # all 2^15 labeled graphs on six vertices, keyed 1024 masks at a time
+        keys = np.concatenate(
+            [
+                canonical_masks(6, np.arange(lo, lo + 1024))
+                for lo in range(0, 1 << 15, 1024)
+            ]
+        )
+        brute, counts = np.unique(keys, return_counts=True)
+        classes = isomorphism_classes(6)
+        assert classes.tolist() == brute.tolist()
+        # orbit size p!/|Aut|, with |Aut| the relabelings that fix the key
+        aut = (relabelings(6, classes) == classes[:, None]).sum(axis=1)
+        assert (720 // aut).tolist() == counts.tolist()
+
+    def test_missing_class_breaks_the_certificate(self, monkeypatch):
+        full = isomorphism_classes(5)
+        monkeypatch.setattr(campaigns, "isomorphism_classes", lambda p: full[1:])
+        with pytest.raises(RuntimeError, match="cover"):
+            campaign_prime_order(5)
 
 
 class TestTreeCampaign:
@@ -123,6 +148,8 @@ class TestPrimeFiveCampaign:
         assert result.details["connected_graphs"] == 728
         assert result.details["connected_classes"] == 21
         assert result.details["positives"] == 65
+        assert result.details["classes"] == 34
+        assert result.details["positive_classes"] == 4
 
     def test_screen_agrees_with_brute_force(self):
         # every connected labeled graph on five vertices, decided exactly
@@ -138,6 +165,7 @@ class TestPrimeFiveCampaign:
                 assert is_double_cone(g) is not None
         result = campaign_prime_order(5)
         assert result.details["positives"] == len(brute)
+        assert result.details["positive_masks_sample"] == brute[:16]
 
     def test_double_cone_k3_is_positive(self):
         mask = graph_to_mask(double_cone(complete_graph(3)))
@@ -168,6 +196,12 @@ class TestPrimeSevenCampaign:
         assert result.details["connected_graphs"] == 1866256
         assert result.details["connected_classes"] == 853
         assert result.details["positives"] == 20769
+        assert result.details["classes"] == 1044
+        assert result.details["positive_classes"] == 34
+        assert result.details["positive_masks_sample"] == [
+            2046, 4094, 6142, 8190, 10238, 12286, 14334, 16382,
+            18430, 20478, 22526, 24574, 26622, 28670, 30718, 30845,
+        ]
 
 
 class TestConstructionCampaign:
@@ -176,58 +210,6 @@ class TestConstructionCampaign:
         assert result.passed, result.counterexamples
         assert result.details["double_cones_checked"] == 1099
         assert result.details["threshold_ok"]
-
-    def test_workers_do_not_change_prime5(self, monkeypatch):
-        seq = campaign_prime_order(5, workers=1)
-        # 2^10 masks in 2^8-mask chunks: 4 jobs on a real 2-process pool
-        monkeypatch.setattr(campaigns, "_CHUNK_BITS", 8)
-        par = campaign_prime_order(5, workers=2)
-        assert seq.details == par.details
-        assert seq.counterexamples == par.counterexamples
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so no worker process is ever started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
-class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def recording_pool(self, monkeypatch):
-        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-
-    def test_one_job_runs_serially(self):
-        # prime-5 is one 2^10-mask job: a second process would have no work
-        seq = campaign_prime_order(5, workers=1)
-        assert campaign_prime_order(5, workers=2).details == seq.details
-        assert RecordingPool.sizes == []
-
-    def test_pool_never_exceeds_job_count(self, monkeypatch):
-        monkeypatch.setattr(campaigns, "_CHUNK_BITS", 8)  # 4 jobs
-        for workers in (2, 4, 1000):
-            campaign_prime_order(5, workers=workers)
-        assert RecordingPool.sizes == [2, 4, 4]
-
-    def test_rejects_fewer_than_one_worker(self):
-        for workers in (0, -3):
-            with pytest.raises(ValueError, match="at least 1"):
-                campaign_prime_order(5, workers=workers)
-        assert RecordingPool.sizes == []
 
 
 class TestCycleWithChords:
