@@ -1,95 +1,56 @@
-"""Exact integer polynomial arithmetic.
+"""Exact polynomial arithmetic over the integers and the rationals.
 
-Integer polynomials are lists of arbitrary-precision coefficients in
-ascending degree order with a nonzero leading coefficient; the zero
-polynomial is the empty list.  This module holds the characteristic
-polynomial and the split of its integer roots from the cofactor they
-leave; the per-graph spectral object built from them lives in
-:mod:`lafr.spectral`.  Everything here is exact; the
-floating-point counterpart lives in :mod:`lafr.oracle`.
+Polynomials are lists of coefficients in ascending degree order.  The
+vertex-local spectral layer (:mod:`lafr.spectral`) builds its
+annihilators from their roots here, and reads the exact minimal polynomial
+of a vertex's moment sequence by Berlekamp-Massey.  Everything here is
+exact; the floating-point counterpart lives in :mod:`lafr.oracle`.
 """
 
 from __future__ import annotations
 
-IntPoly = list[int]
-
-_CHAR_POLY_MAX_N = 4096
-
-
-def poly_normalize(coeffs) -> IntPoly:
-    """Strip trailing zero coefficients; the zero polynomial becomes ``[]``."""
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+from itertools import zip_longest
+from math import gcd
 
 
-def poly_eval(p: IntPoly, x: int) -> int:
+def poly_eval(p, x):
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def char_poly(m: list[list[int]]) -> IntPoly:
-    """Characteristic polynomial det(tI - m) of a square integer matrix.
+def poly_from_roots(roots) -> list[int]:
+    """The monic polynomial prod (t - r) over ``roots``."""
+    out = [1]
+    for r in roots:
+        out = [lo - r * hi for lo, hi in zip([0] + out, out + [0])]
+    return out
 
-    Division-free Samuelson-Berkowitz iteration over the leading principal
-    submatrices; exact for arbitrary-precision entries.  Coefficients are
-    returned in ascending degree order and the result is monic.
+
+def minimal_polynomial(seq) -> list[int]:
+    """Minimal polynomial of the linear recurrence that generates the
+    integer sequence ``seq``, by Berlekamp-Massey (Massey 1969).
+
+    The connection polynomials are kept as integer multiples of Massey's,
+    divided by their content after every update, so no step divides.  The
+    result is exact once ``seq`` holds at least twice its degree terms, and
+    it is then monic: a rational generating function with integer
+    coefficients has an integer denominator with constant term 1 (Fatou).
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    if n > _CHAR_POLY_MAX_N:
-        raise ValueError("matrix too large for exact characteristic polynomial")
-    # descending coefficients of det(tI - M_r) for the r x r leading block
-    p = [1]
-    for r in range(n):
-        a = m[r][r]
-        row = [m[r][j] for j in range(r)]
-        col = [m[i][r] for i in range(r)]
-        t = [1, -a]
-        v = col
-        for step in range(r):
-            t.append(-sum(x * y for x, y in zip(row, v)))
-            if step < r - 1:
-                v = [sum(m[i][j] * v[j] for j in range(r)) for i in range(r)]
-        new = [0] * (r + 2)
-        for i, ti in enumerate(t):
-            if ti == 0:
-                continue
-            hi = min(len(p), r + 2 - i)
-            for j in range(hi):
-                new[i + j] += ti * p[j]
-        p = new
-    return poly_normalize(list(reversed(p)))
-
-
-def _divide_linear(q: IntPoly, r: int) -> IntPoly:
-    """Synthetic division of ``q`` by (t - r); caller guarantees r is a root."""
-    out_desc = []
-    carry = q[-1]
-    for c in reversed(q[:-1]):
-        out_desc.append(carry)
-        carry = c + r * carry
-    return list(reversed(out_desc))
-
-
-def split_integer_roots(p: IntPoly, lo: int, hi: int) -> tuple[dict[int, int], IntPoly]:
-    """Integer roots of ``p`` in [lo, hi] with multiplicities, and the
-    cofactor left once every one of them is divided out."""
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    if lo > hi:
-        raise ValueError("empty scan range")
-    roots: dict[int, int] = {}
-    q = p
-    for r in range(lo, hi + 1):
-        mult = 0
-        while len(q) > 1 and poly_eval(q, r) == 0:
-            q = _divide_linear(q, r)
-            mult += 1
-        if mult:
-            roots[r] = mult
-    return roots, q
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for i in range(len(seq)):
+        disc = sum(c * seq[i - j] for j, c in enumerate(conn[: length + 1]))
+        if disc == 0:
+            shift += 1
+            continue
+        old = conn
+        conn = [prev_disc * a - disc * b for a, b in zip_longest(conn, [0] * shift + prev, fillvalue=0)]
+        content = gcd(*conn)
+        conn = [c // content for c in conn]
+        if 2 * length <= i:
+            length, prev, prev_disc, shift = i + 1 - length, old, disc, 1
+        else:
+            shift += 1
+    return [c // conn[0] for c in conn[length::-1]]

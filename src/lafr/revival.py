@@ -5,10 +5,11 @@ fractional revival, being strongly cospectral but merely periodic, or
 failing one of the structural requirements.  One classifier turns a
 pair's eigenvalue partition into a decision, both for an explicit pair
 and for the all-pairs scan, which classifies only pairs whose vertices
-share a bucket of sign-scaled idempotent rows (see :mod:`lafr.spectral`).
-Times are exact rational multiples of pi throughout; nothing here touches
-floating point except the complement-transfer checker, which delegates to
-the numeric oracle by design.
+share a bucket of certified, sign-scaled eigenprojection columns (see
+:mod:`lafr.spectral`).  Times are exact rational multiples of pi throughout,
+and no verdict here touches floating point: the complement-transfer checker
+decides the identity from its two hypotheses in integers, and the numeric
+oracle only cross-checks it in the tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -26,13 +27,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import NotApplicableError, SpecialSmallGraphError
-from .graphs import Graph, complement, is_connected, join
-from .spectral import (
-    PairPartition,
-    exact_spectrum,
-    is_periodic,
-    strong_cospectral,
-)
+from .graphs import Graph, complement, is_connected, join, laplacian
+from .spectral import PairPartition, is_periodic, strong_cospectral, vertex_spectra
 
 PiRational = tuple[int, int]  # (p, q) in lowest terms, meaning (p/q) * pi
 
@@ -151,8 +147,7 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("need two distinct vertices in range")
     pair = (a, b) if a < b else (b, a)
-    signs = exact_spectrum(g).signs
-    if a not in signs or b not in signs:
+    if None in vertex_spectra(g, pair):
         return RevivalDecision(RevivalStatus.NON_INTEGER_SUPPORT, pair)
     return _classify(pair, strong_cospectral(g, *pair))
 
@@ -184,16 +179,18 @@ def _classify(pair: tuple[int, int], part: PairPartition | None) -> RevivalDecis
 def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
     """Decisions for every strongly cospectral pair, sorted by pair.
 
-    Vertices with all-integer supports are bucketed on their sign-scaled
-    idempotent rows, and only pairs inside a bucket are classified: two
-    vertices are strongly cospectral exactly when they share a bucket.
-    An isolated edge follows the two-vertex schedule and is not listed.
+    Vertices with certified all-integer supports are bucketed on their
+    support and sign-scaled eigenprojection columns, and only pairs inside a
+    bucket are classified: two vertices are strongly cospectral exactly when
+    they share a bucket.  An isolated edge follows the two-vertex schedule
+    and is not listed.
     """
     if g.n < 3:
         raise SpecialSmallGraphError("all-pairs scan needs at least three vertices")
     buckets: dict = {}
-    for v, rows in exact_spectrum(g).rows.items():
-        buckets.setdefault(rows, []).append(v)
+    for v, spec in enumerate(vertex_spectra(g, range(g.n))):
+        if spec is not None:
+            buckets.setdefault(spec.key, []).append(v)
     skip = set(_isolated_edges(g))
     pairs = sorted(p for vs in buckets.values() for p in combinations(vs, 2))
     return [_classify(p, strong_cospectral(g, *p)) for p in pairs if p not in skip]
@@ -328,19 +325,21 @@ def check_cartesian_product_rule(
 
 
 def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:
-    """Complement identity exp(i*tau*L-complement) = exp(-i*tau*L).
+    """Complement identity exp(i*tau*L-complement) = exp(-i*tau*L), exactly.
 
-    Applicable when n*tau is a multiple of 2*pi; verified numerically
-    entrywise to 1e-9 via the oracle.
+    Applicable when n*tau is a multiple of 2*pi.  Since L + L-complement
+    = nI - J and J commutes with L, exp(i*tau*L-complement) =
+    exp(i*tau*n) exp(-i*tau*J) exp(-i*tau*L), and both leading factors are
+    the identity on that time grid.  The sum of the two Laplacians is
+    checked against nI - J in integers.
     """
-    from . import oracle
-
     if Fraction(x.n * tau_num, 2 * tau_den).denominator != 1:
         raise NotApplicableError("n * tau must be a multiple of 2*pi")
-    tau = float(Fraction(tau_num, tau_den)) * cmath.pi
-    u_comp = oracle.transition_matrix(complement(x), tau).entries
-    u_neg = oracle.transition_matrix(x, -tau).entries
-    return abs(u_comp - u_neg).max() <= 1e-9
+    total = [
+        [u + v for u, v in zip(row, row_c)]
+        for row, row_c in zip(laplacian(x), laplacian(complement(x)))
+    ]
+    return total == [[x.n * (i == j) - 1 for j in range(x.n)] for i in range(x.n)]
 
 
 def check_join_timing(z: Graph) -> bool:

@@ -1,32 +1,54 @@
-"""Spectral idempotents, eigenvalue supports, periodicity, and exact
-strong cospectrality.
+"""Eigenvalue supports, periodicity and exact strong cospectrality, decided
+vertex by vertex without the characteristic polynomial.
 
-Everything here reads from one exact object per graph
-(:func:`exact_spectrum`): the integer roots of psi split from their
-cofactor r (the spectrum splits over the integers exactly when r == [1]),
-and for each integer Laplacian eigenvalue mu the idempotent
-E_mu = N_mu / d_mu with an integer matrix N_mu and an integer d_mu.  The
-integer part of a vertex's eigenvalue support is {mu : (E_mu)_aa != 0},
-and the support is all-integer exactly when those diagonal entries sum to
-1, since sum over all eigenvalues theta of (E_theta)_aa = 1.  Two vertices
-with all-integer supports are strongly cospectral exactly when their rows
-of every N_mu, each scaled by the sign of its first nonzero entry, agree,
-so they can be bucketed on those rows.  Strong cospectrality is decided
-only for all-integer supports: that is the only case the revival decision
-ever needs, because a non-integer support already rules proper revival
-out.  Support sizes are computed only on demand (:func:`support_size`).
+The eigenvalue support of vertex a is the set of Laplacian eigenvalues mu
+with E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic
+m_a of least degree with m_a(L) e_a = 0.  Every eigenvalue lies in [0, n],
+so the support is all-integer exactly when Q e_a = 0 for
+Q = prod_{mu=0..n} (L - mu).  Each vertex a caller asks about is decided
+once per graph (:func:`vertex_spectra`):
+
+1. Screen modulo a prime p, one numpy pass per graph (:func:`_screen`).  A
+   nonzero column a of Q mod p means Q e_a != 0 over the integers, which
+   rules an all-integer support out exactly.  For every other vertex the
+   diagonals of the partial products prod_{mu<j} (L - mu), j <= n, give the
+   weights (E_mu)_aa mod p by an inverse binomial transform, and the mu of
+   nonzero weight form a candidate support S inside {0..n}.  These are the
+   roots that Berlekamp-Massey would find in the moments (L^k)_aa mod p,
+   without forming the powers of L.
+2. Certify S over the integers (:func:`_certify`): prod_{mu in S} (L - mu)
+   e_a = 0 puts the support inside S, and l_mu(L) e_a != 0 for every mu in
+   S, with l_mu = prod_{nu in S - mu} (t - nu), puts mu in it.  Then
+   E_mu e_a = l_mu(L) e_a / l_mu(mu) exactly.
+3. A candidate that fails its certificate is screened again modulo the
+   next prime, so an uncertified candidate never yields a verdict.  Only
+   the finitely many primes that divide every entry of a nonzero Q e_a, or
+   the numerator or denominator of a weight (E_mu)_aa, can mislead the
+   screen, so the retries end.
+
+Two vertices with all-integer supports are strongly cospectral exactly when
+their supports agree and so do their columns l_mu(L) e, each scaled by the
+sign of its first nonzero entry, so they can be bucketed on that key; the
+signs give the plus and minus classes.  No decision needs the integer part
+of a support that is not all-integer: :func:`eigenvalue_support` reads it
+on demand from the exact minimal polynomial of the moments (L^k)_aa.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, isqrt, prod
 
-from .errors import NonIntegerSupportError, NotApplicableError
-from .exactalg import IntPoly, char_poly, poly_eval, split_integer_roots
-from .graphs import Graph, is_connected, laplacian, spanning_tree_count
+from .errors import NonIntegerSupportError
+from .exactalg import minimal_polynomial, poly_eval, poly_from_roots
+from .graphs import Graph, adjacency_sets, laplacian
+
+PRIME = 1000003
+# The screen works in float64 on residues in [0, p).  Its largest sums are
+# the entries of the weight transform, n + 1 products below (p - 1)^2 each,
+# so float64 BLAS is exact while (n + 1) * (p - 1)^2 < 2^53: n <= 9006 here.
+_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -41,18 +63,14 @@ class EigenvalueSupport:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """The three eigenvalue classes of a strongly cospectral pair.
-
-    ``plus`` and ``minus`` hold the eigenvalues whose projections agree
-    respectively with equal and opposite sign at the two vertices; ``zero``
-    holds the integer eigenvalues of the Laplacian outside both supports.
-    """
+    """The eigenvalue classes of a strongly cospectral pair: ``plus`` and
+    ``minus`` hold the support eigenvalues whose projections agree with
+    equal and with opposite sign at the two vertices."""
 
     a: int
     b: int
     plus: frozenset[int]
     minus: frozenset[int]
-    zero: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -62,124 +80,162 @@ class Periodicity:
     big_g: int | None
 
 
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
-class ExactSpectrum:
-    """The exact spectral object of one graph (see the module docstring).
+class VertexSpectrum:
+    """The certified all-integer support of one vertex a.
 
-    ``rows`` and ``signs`` hold exactly the vertices with all-integer
-    supports: per mu, the vertex's sign-scaled row of N_mu and that sign,
-    0 for a zero row.
+    ``columns[i]`` is the integer vector l_mu(L) e_a for mu = ``support[i]``,
+    scaled by ``signs[i]``, the sign of its first nonzero entry; so
+    E_mu e_a = signs[i] * columns[i] / l_mu(mu).
     """
 
-    roots: dict[int, int]  # integer eigenvalue -> multiplicity
-    cofactor: IntPoly
-    idempotents: dict[int, tuple[IntMatrix, int]]  # mu ascending -> (N_mu, d_mu)
-    rows: dict[int, IntMatrix]
-    signs: dict[int, tuple[int, ...]]
+    support: tuple[int, ...]
+    signs: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def key(self) -> tuple:
+        """Equal for two vertices exactly when they are strongly cospectral."""
+        return self.support, self.columns
 
 
-def _shifted_laplacian_times(g: Graph, degs: list[int], x: list[int], shift: int) -> list[int]:
-    """The vector (L - shift I) x, one pass over the edges of ``g``, whose
-    vertex degrees the caller reads once and passes as ``degs``."""
-    y = [(d - shift) * v for d, v in zip(degs, x)]
-    for u, v in g.edges:
-        y[u] -= x[v]
-        y[v] -= x[u]
-    return y
+def _next_prime(p: int) -> int:
+    while True:
+        p += 1
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            return p
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial_inverse(n: int, p: int):
+    """T[j, mu] = (-1)^(j-mu) C(j, mu) / j! mod p, for 0 <= mu <= j <= n.
+
+    If d_j = sum_mu w_mu mu (mu-1)...(mu-j+1) for weights w on {0..n}, then
+    w = d T (binomial inversion of d_j / j! = sum_mu C(mu, j) w_mu).
+    """
+    import numpy as np
+
+    t = np.zeros((n + 1, n + 1))
+    inv_fact = 1  # 1 / j! mod p
+    for j in range(n + 1):
+        if j:
+            inv_fact = inv_fact * pow(j, -1, p) % p
+        for mu in range(j + 1):
+            t[j, mu] = (-1) ** (j - mu) * comb(j, mu) * inv_fact % p
+    return t
 
 
 @functools.lru_cache(maxsize=64)
-def exact_spectrum(g: Graph) -> ExactSpectrum:
-    """Build the graph's exact spectral object, once per graph.
+def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
+    """Candidate support of every vertex modulo ``p``: ``None`` where the
+    column of Q mod p is nonzero, else the mu of nonzero weight mod p."""
+    import numpy as np
 
-    N_mu = p_mu(L) and d_mu = p_mu(mu) for p_mu(t) = r(t) * prod(t - nu)
-    over the other integer eigenvalues nu, where r is the cofactor.  Since
-    L is symmetric and p_mu vanishes at every eigenvalue but mu,
-    p_mu(L) = p_mu(mu) E_mu.  r(L) is evaluated once by Horner's rule on
-    the sparse L, with Python ints only.
-    """
-    roots, r = split_integer_roots(char_poly(laplacian(g)), 0, g.n)
-    degs = g.degrees()
-    r_of_l = [[r[-1] * (i == j) for j in range(g.n)] for i in range(g.n)]
-    for c in reversed(r[:-1]):
-        r_of_l = [_shifted_laplacian_times(g, degs, row, 0) for row in r_of_l]
-        for i in range(g.n):
-            r_of_l[i][i] += c
-    idem = {}
-    for mu in sorted(roots):
-        num, den = r_of_l, poly_eval(r, mu)
-        for nu in roots:
-            if nu != mu:
-                num = [_shifted_laplacian_times(g, degs, row, nu) for row in num]
-                den *= mu - nu
-        idem[mu] = (tuple(map(tuple, num)), den)
-    rows, signs = {}, {}
-    for a in range(g.n):
-        if sum(Fraction(num[a][a], den) for num, den in idem.values()) != 1:
-            continue
-        firsts = [next((x for x in num[a] if x), 0) for num, _ in idem.values()]
-        signs[a] = tuple((x > 0) - (x < 0) for x in firsts)
-        rows[a] = tuple(
-            num[a] if s >= 0 else tuple(-x for x in num[a])
-            for s, (num, _) in zip(signs[a], idem.values())
-        )
-    return ExactSpectrum(roots, r, idem, rows, signs)
-
-
-def laplacian_integer_eigenvalues(g: Graph) -> dict[int, int]:
-    """Integer Laplacian eigenvalues with multiplicities (scan range [0, n])."""
-    return exact_spectrum(g).roots
-
-
-def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
-    """Spectral idempotent E_mu = N_mu / d_mu of every integer Laplacian
-    eigenvalue mu, as the pair (N_mu, d_mu), in ascending order of mu."""
-    return exact_spectrum(g).idempotents
-
-
-def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
-    if not 0 <= a < g.n:
-        raise ValueError("vertex out of range")
-    spec = exact_spectrum(g)
-    return EigenvalueSupport(
-        vertex=a,
-        integer_eigenvalues=frozenset(
-            mu for mu, (num, _) in spec.idempotents.items() if num[a][a]
-        ),
-        all_integer=a in spec.signs,
+    n = g.n
+    if (n + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise ValueError(f"n = {n} is too large for exact float64 residues modulo {p}")
+    lap = np.array(laplacian(g), dtype=float)
+    m, diags = np.eye(n), np.empty((n, n + 1))
+    for mu in range(n + 1):
+        diags[:, mu] = m.diagonal()
+        m = (m @ lap - mu * m) % p
+    weights = diags @ _binomial_inverse(n, p) % p
+    return tuple(
+        tuple(mu for mu, w in enumerate(row) if w) if alive else None
+        for alive, row in zip((m == 0).all(axis=0).tolist(), weights.tolist())
     )
 
 
-def support_size(g: Graph, a: int) -> int:
-    """Number of distinct eigenvalues, integer or not, in the support of
-    vertex ``a``.
+def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[VertexSpectrum | None]:
+    """Check the candidate ``support`` of every vertex in ``verts`` over the
+    integers; ``None`` for a vertex whose support it is not."""
+    import numpy as np
 
-    The moments m_k = (L^k)_aa are sums of theta^k (E_theta)_aa with
-    nonnegative weights, so the leading minors of the Hankel matrix
-    [m_(i+j)] are positive up to the support size and zero beyond it.
-    Fraction-free Bareiss elimination without pivoting, whose pivots are
-    those minors, stops at the first zero pivot.
-    """
-    if not 0 <= a < g.n:
+    # Entries and partial sums stay below prod(2 * max degree + nu): float64
+    # is exact under 2^53, and Python integers take over above it.
+    bound = prod(2 * max(g.degrees()) + nu for nu in support)
+    dtype = float if bound < _FLOAT_EXACT else object
+    lap = np.array(laplacian(g), dtype=dtype)
+    krylov = [np.eye(g.n, dtype=dtype)[:, verts]]
+    for _ in support[1:]:
+        krylov.append(lap @ krylov[-1])
+    cols = [
+        sum(c * x for c, x in zip(poly_from_roots(nu for nu in support if nu != mu), krylov))
+        for mu in support
+    ]
+    ints = np.int64 if dtype is float else object
+    residual = (lap @ cols[0] - support[0] * cols[0]).any(axis=0).tolist()
+    # Axes: entry, vertex, mu.  Each vertex's columns become Python integers
+    # only in its own turn, which keeps the peak of live integers low.
+    cols = np.stack(cols, axis=-1).astype(ints)
+    out = []
+    for i, res in enumerate(residual):
+        vcols = cols[:, i].T.tolist()
+        if res or not all(any(c) for c in vcols):
+            out.append(None)
+            continue
+        signs = tuple(1 if next(x for x in c if x) > 0 else -1 for c in vcols)
+        scaled = tuple(tuple(c) if s > 0 else tuple(-x for x in c) for s, c in zip(signs, vcols))
+        out.append(VertexSpectrum(support, signs, scaled))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _decided(g: Graph) -> dict[int, VertexSpectrum | None]:
+    """The vertices of ``g`` decided so far; see :func:`vertex_spectra`."""
+    return {}
+
+
+def vertex_spectra(g: Graph, vertices) -> list[VertexSpectrum | None]:
+    """The certified support of each vertex, ``None`` where the support is
+    not all-integer; every vertex of a graph is decided once."""
+    vertices = list(vertices)
+    if not all(0 <= v < g.n for v in vertices):
         raise ValueError("vertex out of range")
-    n, degs = g.n, g.degrees()
-    x = [int(i == a) for i in range(n)]
-    moments = [1]
-    for _ in range(2 * n):
-        x = _shifted_laplacian_times(g, degs, x, 0)
-        moments.append(x[a])
-    h = [moments[i : i + n + 1] for i in range(n + 1)]
-    k, prev = 0, 1
-    while h[k][k]:
-        pivot = h[k][k]
-        for i in range(k + 1, n + 1):
-            for j in range(k + 1, n + 1):
-                h[i][j] = (h[i][j] * pivot - h[i][k] * h[k][j]) // prev
-        k, prev = k + 1, pivot
-    return k
+    done = _decided(g)
+    todo = [v for v in dict.fromkeys(vertices) if v not in done]
+    p = PRIME
+    while todo:
+        candidates = _screen(g, p)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v in todo:
+            if candidates[v] is None:
+                done[v] = None
+            else:
+                groups.setdefault(candidates[v], []).append(v)
+        todo = []
+        for support, verts in groups.items():
+            for v, spec in zip(verts, _certify(g, support, verts)):
+                if spec is None:
+                    todo.append(v)
+                else:
+                    done[v] = spec
+        if todo:
+            p = _next_prime(p)
+    return [done[v] for v in vertices]
+
+
+def _moments(g: Graph, a: int) -> list[int]:
+    """(L^k)_aa for k < 2n, in integers: x_k . x_k and x_k . x_(k+1) for
+    x_k = L^k e_a, as L is symmetric."""
+    adj, degs = adjacency_sets(g), g.degrees()
+    x, out = [int(v == a) for v in range(g.n)], []
+    for _ in range(g.n):
+        y = [d * x[v] - sum(x[u] for u in adj[v]) for v, d in enumerate(degs)]
+        out += [sum(s * s for s in x), sum(s * t for s, t in zip(x, y))]
+        x = y
+    return out
+
+
+def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
+    """The integer part of the support of vertex ``a``, and whether it is
+    the whole support."""
+    [spec] = vertex_spectra(g, [a])
+    if spec is not None:
+        return EigenvalueSupport(a, frozenset(spec.support), True)
+    m_a = minimal_polynomial(_moments(g, a))
+    roots = frozenset(mu for mu in range(g.n + 1) if poly_eval(m_a, mu) == 0)
+    return EigenvalueSupport(a, roots, False)
 
 
 def is_periodic(g: Graph, a: int) -> Periodicity:
@@ -189,61 +245,30 @@ def is_periodic(g: Graph, a: int) -> Periodicity:
     for a support of {0} alone (an isolated vertex), where the walk fixes
     the vertex at every time.
     """
-    sup = eigenvalue_support(g, a)
-    if not sup.all_integer:
+    [spec] = vertex_spectra(g, [a])
+    if spec is None:
         return Periodicity(a, False, None)
-    big_g = 0
-    for mu in sup.integer_eigenvalues:
-        big_g = gcd(big_g, mu)
-    return Periodicity(a, True, big_g if big_g > 0 else None)
-
-
-def eigenprojection_column(g: Graph, mu: int, a: int) -> list[Fraction]:
-    """Exact column of the spectral idempotent of ``mu`` at vertex ``a``."""
-    idem = idempotents(g)
-    if mu not in idem:
-        raise ValueError(f"{mu} is not an eigenvalue of the Laplacian")
-    num, den = idem[mu]
-    return [Fraction(x, den) for x in num[a]]
+    return Periodicity(a, True, gcd(*spec.support) or None)
 
 
 def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     """Exact strong-cospectrality test with the induced eigenvalue classes.
 
-    The pair is strongly cospectral exactly when the sign-scaled idempotent
-    rows of the two vertices agree at every integer eigenvalue; the classes
-    come from the product of the two signs.  Returns ``None`` when the
-    rows differ.  Both supports must be all-integer, otherwise the exact
-    test is not attempted.
+    The pair is strongly cospectral exactly when the two vertices share a
+    support and their sign-scaled columns; the classes come from the
+    product of the two signs.  Returns ``None`` when they differ.  Both
+    supports must be all-integer, otherwise the exact test is not
+    attempted.
     """
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("strong cospectrality needs two distinct vertices in range")
-    spec = exact_spectrum(g)
-    for v in (a, b):
-        if v not in spec.signs:
+    spec_a, spec_b = vertex_spectra(g, (a, b))
+    for v, spec in ((a, spec_a), (b, spec_b)):
+        if spec is None:
             raise NonIntegerSupportError(f"vertex {v} has non-integer support")
-    if spec.rows[a] != spec.rows[b]:
+    if spec_a.key != spec_b.key:
         return None
-    classes = {1: set(), -1: set(), 0: set()}
-    for mu, s, t in zip(spec.idempotents, spec.signs[a], spec.signs[b]):
-        classes[s * t].add(mu)
-    return PairPartition(a, b, *(frozenset(classes[k]) for k in (1, -1, 0)))
-
-
-def support_product_divides_trees(g: Graph, a: int) -> bool:
-    """Whether the product of integer eigenvalues outside the support
-    divides the spanning-tree count.
-
-    Applicable only to connected graphs whose spectrum splits over the
-    integers and whose vertex support is all-integer.
-    """
-    if not is_connected(g):
-        raise NotApplicableError("graph is disconnected")
-    spec = exact_spectrum(g)
-    if spec.cofactor != [1]:
-        raise NotApplicableError("spectrum does not split over the integers")
-    sup = eigenvalue_support(g, a)
-    if not sup.all_integer:
-        raise NotApplicableError("vertex support is not all-integer")
-    outside = prod(mu for mu in spec.roots if mu not in sup.integer_eigenvalues)
-    return spanning_tree_count(g) % outside == 0
+    plus = frozenset(
+        mu for mu, s, t in zip(spec_a.support, spec_a.signs, spec_b.signs) if s == t
+    )
+    return PairPartition(a, b, plus, frozenset(spec_a.support) - plus)

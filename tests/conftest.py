@@ -5,19 +5,25 @@ networkx graph atlas, used here purely as an independent reference.
 Random graphs are drawn from a fixed seed so every run sees the same
 corpus.  The helpers below are references and test-only constructions
 that the package itself never calls: the exact kernel, signed incidence
-matrices, eccentricity, and the numeric strong-cospectrality probe.
+matrices, eccentricity, the numeric strong-cospectrality probe, and the
+psi route (characteristic polynomial, integer roots and idempotents) that
+the vertex-local spectra are checked against.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import numpy as np
 import pytest
 
 from lafr.campaigns import campaign_prime_order, mask_to_graph
-from lafr.graphs import Graph, distances
+from lafr.errors import NotApplicableError
+from lafr.graphs import Graph, distances, is_connected, laplacian, spanning_tree_count
 from lafr.oracle import graph_spectrum
+from lafr.spectral import eigenvalue_support
 
 
 def atlas_connected(max_n: int) -> list[Graph]:
@@ -154,6 +160,231 @@ def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bo
         if min(same, opposite) > tol:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The psi route: an independent exact reference for both verdict directions.
+# It factors the Berkowitz characteristic polynomial psi over the integers
+# and builds every idempotent N_mu = p_mu(L) from the cofactor r, the route
+# the package decided by before it went vertex-local.
+
+IntPoly = list[int]
+
+_CHAR_POLY_MAX_N = 4096
+
+
+def poly_normalize(coeffs) -> IntPoly:
+    """Strip trailing zero coefficients; the zero polynomial becomes ``[]``."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_eval(p: IntPoly, x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def char_poly(m: list[list[int]]) -> IntPoly:
+    """Characteristic polynomial det(tI - m) of a square integer matrix.
+
+    Division-free Samuelson-Berkowitz iteration over the leading principal
+    submatrices; exact for arbitrary-precision entries.  Coefficients are
+    returned in ascending degree order and the result is monic.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    if n > _CHAR_POLY_MAX_N:
+        raise ValueError("matrix too large for exact characteristic polynomial")
+    # descending coefficients of det(tI - M_r) for the r x r leading block
+    p = [1]
+    for r in range(n):
+        a = m[r][r]
+        row = [m[r][j] for j in range(r)]
+        col = [m[i][r] for i in range(r)]
+        t = [1, -a]
+        v = col
+        for step in range(r):
+            t.append(-sum(x * y for x, y in zip(row, v)))
+            if step < r - 1:
+                v = [sum(m[i][j] * v[j] for j in range(r)) for i in range(r)]
+        new = [0] * (r + 2)
+        for i, ti in enumerate(t):
+            if ti == 0:
+                continue
+            hi = min(len(p), r + 2 - i)
+            for j in range(hi):
+                new[i + j] += ti * p[j]
+        p = new
+    return poly_normalize(list(reversed(p)))
+
+
+def _divide_linear(q: IntPoly, r: int) -> IntPoly:
+    """Synthetic division of ``q`` by (t - r); caller guarantees r is a root."""
+    out_desc = []
+    carry = q[-1]
+    for c in reversed(q[:-1]):
+        out_desc.append(carry)
+        carry = c + r * carry
+    return list(reversed(out_desc))
+
+
+def split_integer_roots(p: IntPoly, lo: int, hi: int) -> tuple[dict[int, int], IntPoly]:
+    """Integer roots of ``p`` in [lo, hi] with multiplicities, and the
+    cofactor left once every one of them is divided out."""
+    if not p:
+        raise ValueError("zero polynomial has every root")
+    if lo > hi:
+        raise ValueError("empty scan range")
+    roots: dict[int, int] = {}
+    q = p
+    for r in range(lo, hi + 1):
+        mult = 0
+        while len(q) > 1 and poly_eval(q, r) == 0:
+            q = _divide_linear(q, r)
+            mult += 1
+        if mult:
+            roots[r] = mult
+    return roots, q
+
+
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class ExactSpectrum:
+    """The exact spectral object of one graph (see the module docstring).
+
+    ``rows`` and ``signs`` hold exactly the vertices with all-integer
+    supports: per mu, the vertex's sign-scaled row of N_mu and that sign,
+    0 for a zero row.
+    """
+
+    roots: dict[int, int]  # integer eigenvalue -> multiplicity
+    cofactor: IntPoly
+    idempotents: dict[int, tuple[IntMatrix, int]]  # mu ascending -> (N_mu, d_mu)
+    rows: dict[int, IntMatrix]
+    signs: dict[int, tuple[int, ...]]
+
+
+def _shifted_laplacian_times(g: Graph, degs: list[int], x: list[int], shift: int) -> list[int]:
+    """The vector (L - shift I) x, one pass over the edges of ``g``, whose
+    vertex degrees the caller reads once and passes as ``degs``."""
+    y = [(d - shift) * v for d, v in zip(degs, x)]
+    for u, v in g.edges:
+        y[u] -= x[v]
+        y[v] -= x[u]
+    return y
+
+
+@functools.lru_cache(maxsize=64)
+def exact_spectrum(g: Graph) -> ExactSpectrum:
+    """Build the graph's exact spectral object, once per graph.
+
+    N_mu = p_mu(L) and d_mu = p_mu(mu) for p_mu(t) = r(t) * prod(t - nu)
+    over the other integer eigenvalues nu, where r is the cofactor.  Since
+    L is symmetric and p_mu vanishes at every eigenvalue but mu,
+    p_mu(L) = p_mu(mu) E_mu.  r(L) is evaluated once by Horner's rule on
+    the sparse L, with Python ints only.
+    """
+    roots, r = split_integer_roots(char_poly(laplacian(g)), 0, g.n)
+    degs = g.degrees()
+    r_of_l = [[r[-1] * (i == j) for j in range(g.n)] for i in range(g.n)]
+    for c in reversed(r[:-1]):
+        r_of_l = [_shifted_laplacian_times(g, degs, row, 0) for row in r_of_l]
+        for i in range(g.n):
+            r_of_l[i][i] += c
+    idem = {}
+    for mu in sorted(roots):
+        num, den = r_of_l, poly_eval(r, mu)
+        for nu in roots:
+            if nu != mu:
+                num = [_shifted_laplacian_times(g, degs, row, nu) for row in num]
+                den *= mu - nu
+        idem[mu] = (tuple(map(tuple, num)), den)
+    rows, signs = {}, {}
+    for a in range(g.n):
+        if sum(Fraction(num[a][a], den) for num, den in idem.values()) != 1:
+            continue
+        firsts = [next((x for x in num[a] if x), 0) for num, _ in idem.values()]
+        signs[a] = tuple((x > 0) - (x < 0) for x in firsts)
+        rows[a] = tuple(
+            num[a] if s >= 0 else tuple(-x for x in num[a])
+            for s, (num, _) in zip(signs[a], idem.values())
+        )
+    return ExactSpectrum(roots, r, idem, rows, signs)
+
+
+def laplacian_integer_eigenvalues(g: Graph) -> dict[int, int]:
+    """Integer Laplacian eigenvalues with multiplicities (scan range [0, n])."""
+    return exact_spectrum(g).roots
+
+
+def idempotents(g: Graph) -> dict[int, tuple[IntMatrix, int]]:
+    """Spectral idempotent E_mu = N_mu / d_mu of every integer Laplacian
+    eigenvalue mu, as the pair (N_mu, d_mu), in ascending order of mu."""
+    return exact_spectrum(g).idempotents
+
+
+def support_size(g: Graph, a: int) -> int:
+    """Number of distinct eigenvalues, integer or not, in the support of
+    vertex ``a``.
+
+    The moments m_k = (L^k)_aa are sums of theta^k (E_theta)_aa with
+    nonnegative weights, so the leading minors of the Hankel matrix
+    [m_(i+j)] are positive up to the support size and zero beyond it.
+    Fraction-free Bareiss elimination without pivoting, whose pivots are
+    those minors, stops at the first zero pivot.
+    """
+    if not 0 <= a < g.n:
+        raise ValueError("vertex out of range")
+    n, degs = g.n, g.degrees()
+    x = [int(i == a) for i in range(n)]
+    moments = [1]
+    for _ in range(2 * n):
+        x = _shifted_laplacian_times(g, degs, x, 0)
+        moments.append(x[a])
+    h = [moments[i : i + n + 1] for i in range(n + 1)]
+    k, prev = 0, 1
+    while h[k][k]:
+        pivot = h[k][k]
+        for i in range(k + 1, n + 1):
+            for j in range(k + 1, n + 1):
+                h[i][j] = (h[i][j] * pivot - h[i][k] * h[k][j]) // prev
+        k, prev = k + 1, pivot
+    return k
+
+
+def eigenprojection_column(g: Graph, mu: int, a: int) -> list[Fraction]:
+    """Exact column of the spectral idempotent of ``mu`` at vertex ``a``."""
+    idem = idempotents(g)
+    if mu not in idem:
+        raise ValueError(f"{mu} is not an eigenvalue of the Laplacian")
+    num, den = idem[mu]
+    return [Fraction(x, den) for x in num[a]]
+
+
+def support_product_divides_trees(g: Graph, a: int) -> bool:
+    """Whether the product of integer eigenvalues outside the support
+    divides the spanning-tree count.
+
+    Applicable only to connected graphs whose spectrum splits over the
+    integers and whose vertex support is all-integer.
+    """
+    if not is_connected(g):
+        raise NotApplicableError("graph is disconnected")
+    spec = exact_spectrum(g)
+    if spec.cofactor != [1]:
+        raise NotApplicableError("spectrum does not split over the integers")
+    sup = eigenvalue_support(g, a)
+    if not sup.all_integer:
+        raise NotApplicableError("vertex support is not all-integer")
+    outside = prod(mu for mu in spec.roots if mu not in sup.integer_eigenvalues)
+    return spanning_tree_count(g) % outside == 0
 
 
 @pytest.fixture(scope="session")

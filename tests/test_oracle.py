@@ -105,7 +105,7 @@ class TestTransitionMatrix:
             assert np.abs(u_comp - u_neg).max() <= 1e-9
 
     def test_spectral_consistency_integer_spectra(self):
-        from lafr.spectral import laplacian_integer_eigenvalues
+        from conftest import laplacian_integer_eigenvalues
 
         rng = Random(113)
         found = 0

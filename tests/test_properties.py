@@ -13,10 +13,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import eccentricity, kernel_basis, signed_incidence
+from conftest import (
+    char_poly,
+    eccentricity,
+    eigenprojection_column,
+    exact_spectrum,
+    kernel_basis,
+    laplacian_integer_eigenvalues,
+    signed_incidence,
+    support_product_divides_trees,
+    support_size,
+)
 from lafr import oracle
 from lafr.errors import NotApplicableError
-from lafr.exactalg import char_poly
 from lafr.graphs import (
     adjacency_sets,
     complement,
@@ -26,15 +35,7 @@ from lafr.graphs import (
     spanning_tree_count,
 )
 from lafr.revival import RevivalStatus, all_lafr_pairs, amplitudes_at
-from lafr.spectral import (
-    eigenprojection_column,
-    eigenvalue_support,
-    exact_spectrum,
-    is_periodic,
-    laplacian_integer_eigenvalues,
-    strong_cospectral,
-    support_size,
-)
+from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
 
 
 @pytest.fixture(scope="module")
@@ -177,12 +178,16 @@ class TestPartitionInvariants:
         for g, decisions in corpus_pairs:
             for d in decisions:
                 part = d.partition
+                # integer eigenvalues outside both supports, from the reference
+                integer = set(laplacian_integer_eigenvalues(g))
+                assert part.plus | part.minus <= integer
+                zero = integer - part.plus - part.minus
                 assert 0 in part.plus
                 assert part.plus.isdisjoint(part.minus)
-                assert part.plus.isdisjoint(part.zero)
-                assert part.minus.isdisjoint(part.zero)
+                assert part.plus.isdisjoint(zero)
+                assert part.minus.isdisjoint(zero)
                 assert len(part.plus) >= 2 and len(part.minus) >= 1
-                for mu in part.plus | part.minus | part.zero:
+                for mu in part.plus | part.minus | zero:
                     assert 0 <= mu <= g.n
                 sup = eigenvalue_support(g, d.pair[0])
                 assert part.plus | part.minus == sup.integer_eigenvalues
@@ -291,8 +296,6 @@ class TestPartitionInvariants:
                         assert q % p == 0
 
     def test_support_product_divisibility(self, corpus_pairs):
-        from lafr.spectral import support_product_divides_trees
-
         for g, decisions in corpus_pairs:
             for d in decisions:
                 for v in d.pair:

@@ -1,14 +1,19 @@
 """Revival decisions, amplitudes, and the construction checkers."""
 
+import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
+from lafr import oracle, revival
 from lafr.errors import NotApplicableError, SpecialSmallGraphError
 from lafr.graphs import (
+    Graph,
     cartesian_product,
+    complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -39,8 +44,8 @@ from lafr.revival import (
 from lafr.spectral import PairPartition
 
 
-def part(a, b, plus, minus, zero=()):
-    return PairPartition(a, b, frozenset(plus), frozenset(minus), frozenset(zero))
+def part(a, b, plus, minus):
+    return PairPartition(a, b, frozenset(plus), frozenset(minus))
 
 
 class TestClassGcd:
@@ -255,6 +260,35 @@ class TestComplementTransfer:
     def test_precondition_violation(self):
         with pytest.raises(NotApplicableError):
             check_complement_transfer(cycle_graph(4), 1, 3)
+
+    @staticmethod
+    def _oracle_identity(x, xbar, num, den):
+        tau = math.pi * num / den
+        u_comp = oracle.transition_matrix(xbar, tau).entries
+        u_neg = oracle.transition_matrix(x, -tau).entries
+        return bool(np.abs(u_comp - u_neg).max() <= 1e-9)
+
+    def test_oracle_cross_check(self):
+        # the exact verdict agrees with the entrywise float comparison
+        rng = Random(131)
+        cases = [(cycle_graph(4), 1, 2), (path_graph(4), 2, 1)]
+        cases += [(disjoint_union(path_graph(3), empty_graph(1)), 1, 2)]
+        for _ in range(20):
+            x = random_graph(rng, rng.randint(2, 8))
+            cases.append((x, 2 * rng.randint(1, 3), x.n))
+        for x, num, den in cases:
+            assert check_complement_transfer(x, num, den)
+            assert self._oracle_identity(x, complement(x), num, den)
+
+    def test_complement_missing_an_edge_rejected(self, monkeypatch):
+        # drop one edge from the complement: L + L-complement is no longer
+        # nI - J, and the exact check says so, as does the oracle
+        x = cycle_graph(6)
+        xbar = complement(x)
+        short = Graph(xbar.n, xbar.edges - {min(xbar.edges)})
+        monkeypatch.setattr(revival, "complement", lambda g: short if g == x else complement(g))
+        assert not check_complement_transfer(x, 1, 3)
+        assert not self._oracle_identity(x, short, 1, 3)
 
 
 class TestJoinTiming:

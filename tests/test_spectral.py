@@ -1,32 +1,55 @@
-"""Eigenvalue supports, periodicity, strong cospectrality."""
+"""Eigenvalue supports, periodicity, strong cospectrality, and the
+vertex-local screen and certificate against the psi reference."""
 
+import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 
-from conftest import cluster_eigenvalues, random_graph
-from lafr import oracle
+from conftest import (
+    cluster_eigenvalues,
+    eigenprojection_column,
+    exact_spectrum,
+    idempotents,
+    laplacian_integer_eigenvalues,
+    random_graph,
+    support_product_divides_trees,
+    support_size,
+)
+from lafr import oracle, spectral
 from lafr.errors import NonIntegerSupportError, NotApplicableError
 from lafr.graphs import (
+    Graph,
+    cartesian_product,
     complete_graph,
     cycle_graph,
     disjoint_union,
     double_cone,
     empty_graph,
+    hadamard_graph,
     path_graph,
+    sylvester_hadamard,
 )
 from lafr.spectral import (
-    eigenprojection_column,
     eigenvalue_support,
-    idempotents,
     is_periodic,
-    laplacian_integer_eigenvalues,
     strong_cospectral,
-    support_product_divides_trees,
-    support_size,
+    vertex_spectra,
 )
+from lafr.trees import free_trees
+
+
+def zero_class(g, part):
+    """Integer Laplacian eigenvalues outside both supports, from the
+    reference."""
+    return set(laplacian_integer_eigenvalues(g)) - part.plus - part.minus
 
 
 class TestIdempotents:
@@ -185,11 +208,13 @@ class TestEigenprojectionColumn:
 class TestStrongCospectral:
     def test_p3_ends(self):
         part = strong_cospectral(path_graph(3), 0, 2)
-        assert part.plus == {0, 3} and part.minus == {1} and part.zero == set()
+        zero = zero_class(path_graph(3), part)
+        assert part.plus == {0, 3} and part.minus == {1} and zero == set()
 
     def test_c6_antipodal(self):
         part = strong_cospectral(cycle_graph(6), 0, 3)
-        assert part.plus == {0, 3} and part.minus == {1, 4} and part.zero == set()
+        zero = zero_class(cycle_graph(6), part)
+        assert part.plus == {0, 3} and part.minus == {1, 4} and zero == set()
 
     def test_c6_non_antipodal(self):
         assert strong_cospectral(cycle_graph(6), 0, 2) is None
@@ -216,7 +241,7 @@ class TestStrongCospectral:
         part = strong_cospectral(g, 0, 1)
         assert part.plus == {0, 5}
         assert part.minus == {3}
-        assert 0 not in part.zero
+        assert 0 not in zero_class(g, part)
 
     def test_partition_covers_support(self):
         g = cycle_graph(6)
@@ -244,3 +269,159 @@ class TestSupportProductDividesTrees:
     def test_irrational_spectrum_not_applicable(self):
         with pytest.raises(NotApplicableError):
             support_product_divides_trees(cycle_graph(5), 0)
+
+
+def assert_matches_reference(g):
+    """Every vertex's all-integer flag, support and exact eigenprojection
+    columns E_mu e_a agree with the psi reference, in both directions."""
+    ref = exact_spectrum(g)
+    for a, spec in enumerate(vertex_spectra(g, range(g.n))):
+        support = {mu for mu, (num, _) in ref.idempotents.items() if num[a][a]}
+        assert (spec is not None) == (a in ref.signs)
+        assert eigenvalue_support(g, a).integer_eigenvalues == support
+        if spec is None:
+            continue
+        assert set(spec.support) == support
+        for mu, sign, col in zip(spec.support, spec.signs, spec.columns):
+            d_mu = prod(mu - nu for nu in spec.support if nu != mu)
+            num, den = ref.idempotents[mu]
+            assert [Fraction(sign * x, d_mu) for x in col] == [Fraction(x, den) for x in num[a]]
+
+
+def hypercube(d):
+    return functools.reduce(cartesian_product, [path_graph(2)] * d)
+
+
+def hadamard(side):
+    return hadamard_graph(sylvester_hadamard(side))
+
+
+class TestReferenceAgreement:
+    def test_atlas_upto_7(self):
+        from networkx.generators.atlas import graph_atlas_g
+
+        for G in graph_atlas_g()[1:]:
+            assert_matches_reference(Graph.from_edges(G.number_of_nodes(), G.edges()))
+
+    def test_random_8_to_12(self, random_8_to_12):
+        for g in random_8_to_12:
+            assert_matches_reference(g)
+
+    @pytest.mark.slow
+    def test_free_trees_upto_11(self):
+        for n in range(1, 12):
+            for g in free_trees(n):
+                assert_matches_reference(g)
+
+    def test_analyze_graphs(self):
+        graphs = [
+            hypercube(5),
+            cartesian_product(cycle_graph(6), cycle_graph(6)),
+            path_graph(30),
+            cycle_graph(24),
+            hadamard(2),
+            double_cone(complete_graph(10)),
+        ]
+        for g in graphs:
+            assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: hypercube(6),
+            lambda: hadamard(4),
+            lambda: cartesian_product(
+                cartesian_product(complete_graph(4), path_graph(3)), cycle_graph(4)
+            ),
+        ],
+        ids=["Q6", "hadamard64", "K4xP3xC4"],
+    )
+    def test_larger_graphs(self, build):
+        assert_matches_reference(build())
+
+
+@pytest.fixture
+def undecided():
+    """Forget every decided vertex, so the next call screens again."""
+    spectral._decided.cache_clear()
+    yield
+    spectral._decided.cache_clear()
+
+
+def lie_at_first_prime(monkeypatch, vertex, edit):
+    """Replace the screen's candidate for ``vertex`` at the first prime by
+    ``edit(candidate)``; returns the list of primes screened."""
+    real, primes = spectral._screen, []
+
+    def screen(g, p):
+        primes.append(p)
+        candidates = list(real(g, p))
+        if p == spectral.PRIME:
+            candidates[vertex] = edit(candidates[vertex])
+        return tuple(candidates)
+
+    monkeypatch.setattr(spectral, "_screen", screen)
+    return primes
+
+
+class TestCertificate:
+    # A wrong candidate support never yields a verdict: the integer
+    # certificate rejects it and the next prime gives the reference answer.
+
+    def _check(self, monkeypatch, g, a, edit):
+        [truth] = vertex_spectra(g, [a])
+        bad = edit(spectral._screen(g, spectral.PRIME)[a])
+        assert spectral._certify(g, bad, [a]) == [None]
+        spectral._decided.cache_clear()
+        primes = lie_at_first_prime(monkeypatch, a, edit)
+        assert vertex_spectra(g, [a]) == [truth]
+        assert primes == [spectral.PRIME, spectral._next_prime(spectral.PRIME)]
+        assert_matches_reference(g)
+
+    def test_dropped_root(self, monkeypatch, undecided):
+        # C6 vertex support {0, 1, 3, 4}; the screen forgets 3
+        self._check(monkeypatch, cycle_graph(6), 0, lambda s: tuple(mu for mu in s if mu != 3))
+
+    def test_added_root(self, monkeypatch, undecided):
+        # C6 vertex support {0, 1, 3, 4}; the screen adds 2
+        self._check(monkeypatch, cycle_graph(6), 0, lambda s: tuple(sorted(s + (2,))))
+
+    def test_unlucky_prime(self, monkeypatch, undecided):
+        # a P4 end has the support {0, 2 - sqrt 2, 2, 2 + sqrt 2}; a prime
+        # under which its column of Q vanished could pass it on as {0, 2}
+        g = path_graph(4)
+        assert spectral._screen(g, spectral.PRIME)[0] is None
+        self._check(monkeypatch, g, 0, lambda s: (0, 2))
+
+
+    def test_python_integers_above_float_range(self, monkeypatch):
+        # a support whose entry bound passes 2^53 is certified in Python
+        # integers, with the same columns and the same rejections
+        g = cycle_graph(6)
+        support = spectral._screen(g, spectral.PRIME)[0]
+        wrong = [support[:-1], support + (5,)]
+        in_floats = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
+        monkeypatch.setattr(spectral, "_FLOAT_EXACT", 0)
+        in_ints = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
+        assert in_ints == in_floats
+        assert None not in in_ints[0] and in_ints[1] == in_ints[2] == [None] * 6
+
+
+class TestScreenBound:
+    def test_prime_too_large_for_float64(self, monkeypatch, undecided):
+        # (n + 1) (p - 1)^2 >= 2^53 already for n = 3 at p = 2^61 - 1
+        monkeypatch.setattr(spectral, "PRIME", 2**61 - 1)
+        with pytest.raises(ValueError):
+            vertex_spectra(path_graph(3), [0])
+
+    def test_largest_exact_order(self):
+        p = spectral.PRIME
+        assert 9007 * (p - 1) ** 2 < 2**53 <= 9008 * (p - 1) ** 2
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, lafr; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
