@@ -39,8 +39,9 @@ from .graphs import (
 from .reporting import (
     build_analysis_report,
     campaign_report,
+    format_periodicity,
     format_report,
-    format_time,
+    periodicity_entry,
 )
 
 _NAME_PATTERN = re.compile(r"^([KPCOE])(\d+)$")
@@ -93,26 +94,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    from .spectral import is_periodic
-
     g = graph_from_token(args.g6)
     if not 0 <= args.vertex < g.n:
         print("vertex out of range", file=sys.stderr)
         return 2
-    per = is_periodic(g, args.vertex)
-    if not per.periodic:
-        print(f"vertex {args.vertex}: not periodic")
-    elif per.big_g is None:
-        print(f"vertex {args.vertex}: periodic at all times (isolated)")
-    else:
-        from fractions import Fraction
-
-        f = Fraction(2, per.big_g)
-        entry = {"num": f.numerator, "den": f.denominator}
-        print(
-            f"vertex {args.vertex}: periodic, G={per.big_g}, "
-            f"minimal period {format_time(entry)}"
-        )
+    print(format_periodicity(periodicity_entry(g, args.vertex)))
     return 0
 
 

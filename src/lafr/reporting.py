@@ -60,7 +60,8 @@ def _decision_dict(g: Graph, d: RevivalDecision, tol: float) -> dict:
     }
 
 
-def _periodicity_entry(g: Graph, v: int) -> dict:
+def periodicity_entry(g: Graph, v: int) -> dict:
+    """Periodicity of vertex ``v`` as a report entry of JSON-native values."""
     per = is_periodic(g, v)
     period = None
     if per.periodic and per.big_g is not None:
@@ -109,7 +110,7 @@ def build_analysis_report(
     report = {
         "graph": {"graph6": to_graph6(g), "n": g.n, "edges": g.num_edges},
         "decisions": decisions,
-        "periodicity": [_periodicity_entry(g, v) for v in range(g.n)],
+        "periodicity": [periodicity_entry(g, v) for v in range(g.n)],
         "runtime_seconds": time.perf_counter() - start,
         "version": __version__,
     }
@@ -123,6 +124,16 @@ def format_time(entry: dict | None) -> str:
         return "-"
     value = entry["num"] / entry["den"] * pi
     return f"{entry['num']}/{entry['den']} pi ({value:.12f})"
+
+
+def format_periodicity(entry: dict) -> str:
+    """One line for a report's per-vertex periodicity entry."""
+    head = f"vertex {entry['vertex']}: "
+    if not entry["periodic"]:
+        return head + "not periodic"
+    if entry["G"] is None:
+        return head + "periodic at all times (isolated)"
+    return head + f"periodic, G={entry['G']}, period={format_time(entry['period'])}"
 
 
 def format_report(report: dict) -> str:
@@ -151,16 +162,7 @@ def format_report(report: dict) -> str:
     else:
         lines.append("pairs: none")
     lines.append("periodicity:")
-    for p in report["periodicity"]:
-        if p["periodic"] and p["G"] is not None:
-            lines.append(
-                f"  vertex {p['vertex']}: periodic, G={p['G']}, "
-                f"period={format_time(p['period'])}"
-            )
-        elif p["periodic"]:
-            lines.append(f"  vertex {p['vertex']}: periodic at all times (isolated)")
-        else:
-            lines.append(f"  vertex {p['vertex']}: not periodic")
+    lines += ["  " + format_periodicity(p) for p in report["periodicity"]]
     return "\n".join(lines)
 
 

@@ -27,7 +27,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import NotApplicableError, SpecialSmallGraphError
-from .graphs import Graph, complement, is_connected, join, laplacian
+from .graphs import Graph, cartesian_product, complement, is_connected, join, laplacian
 from .spectral import PairPartition, is_periodic, strong_cospectral, vertex_spectra
 
 PiRational = tuple[int, int]  # (p, q) in lowest terms, meaning (p/q) * pi
@@ -239,28 +239,25 @@ def _isolated_edges(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges if degs[u] == 1 and degs[v] == 1]
 
 
-def has_proper_lafr_at(g: Graph, num: int, den: int) -> bool:
-    """Whether the graph admits proper revival at exactly time (num/den)*pi.
+def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
+    """Pairs with proper revival at exactly time (num/den)*pi.
 
     Isolated-edge components contribute on the two-vertex continuum
     schedule; all other pairs go through the characterization.
     """
+    pairs = []
+    if two_vertex_time_class(num, den) is TwoVertexClass.PROPER:
+        pairs += _isolated_edges(g)
+    if g.n >= 3:
+        pairs += [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
+    return pairs
+
+
+def has_proper_lafr_at(g: Graph, num: int, den: int) -> bool:
+    """Whether the graph admits proper revival at exactly time (num/den)*pi."""
     if Fraction(num, den) <= 0:
         raise ValueError("time must be positive")
-    if g.n < 2:
-        return False
-    if (
-        _isolated_edges(g)
-        and two_vertex_time_class(num, den) is TwoVertexClass.PROPER
-    ):
-        return True
-    if g.n < 3:
-        return False
-    return any(
-        proper_time_valid(d, num, den)
-        for d in all_lafr_pairs(g)
-        if d.status is RevivalStatus.PROPER
-    )
+    return bool(_proper_pairs_at(g, num, den))
 
 
 def has_periodic_vertex_at(g: Graph, num: int, den: int) -> bool:
@@ -286,22 +283,8 @@ def has_periodic_vertex_at(g: Graph, num: int, den: int) -> bool:
 def _product_fiber_proper_at(x: Graph, y: Graph, num: int, den: int) -> bool:
     """Proper revival on the box product between a pair sharing its
     first-factor coordinate, at exactly time (num/den)*pi."""
-    from .graphs import cartesian_product
-
     prod = cartesian_product(x, y)
-    if prod.n < 2:
-        return False
-    if two_vertex_time_class(num, den) is TwoVertexClass.PROPER and any(
-        u // y.n == v // y.n for u, v in _isolated_edges(prod)
-    ):
-        return True
-    if prod.n < 3:
-        return False
-    return any(
-        d.pair[0] // y.n == d.pair[1] // y.n and proper_time_valid(d, num, den)
-        for d in all_lafr_pairs(prod)
-        if d.status is RevivalStatus.PROPER
-    )
+    return any(u // y.n == v // y.n for u, v in _proper_pairs_at(prod, num, den))
 
 
 def check_cartesian_product_rule(

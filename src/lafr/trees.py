@@ -2,16 +2,19 @@
 
 Rooted trees are generated once each from canonical level sequences via
 the constant-time successor rule (start at the path, repeatedly truncate
-and tile the last deep segment).  Free trees are then kept the first time
-their centroid-rooted certificate appears, which avoids the combinatorial
-blowup of labeled generation entirely.
+and tile the last deep segment).  A free tree is kept as the level
+sequence rooted at its centroid: a sequence survives when no subtree of
+the root holds more than half the vertices, and when one subtree holds
+exactly half (two centroids) only the rooting whose own half is the
+lexicographically larger sequence survives.  Each free tree is therefore
+produced exactly once, without building a graph for the other rootings.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph
 
-MAX_TREE_N = 14
+MAX_TREE_N = 16
 
 
 def rooted_level_sequences(n: int):
@@ -46,110 +49,39 @@ def rooted_level_sequences(n: int):
 def tree_from_level_sequence(seq) -> Graph:
     """Graph of a level sequence; each vertex attaches to the nearest
     earlier vertex one level up."""
-    n = len(seq)
+    last: dict[int, int] = {}
     edges = []
-    for i in range(1, n):
-        for j in range(i - 1, -1, -1):
-            if seq[j] == seq[i] - 1:
-                edges.append((j, i))
-                break
-    return Graph.from_edges(n, edges)
+    for i, level in enumerate(seq):
+        if level:
+            edges.append((last[level - 1], i))
+        last[level] = i
+    return Graph.from_edges(len(seq), edges)
 
 
-def _children_lists(g: Graph, root: int) -> list[list[int]]:
-    """Children of every vertex when the tree is rooted at ``root``."""
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    nbrs = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * g.n
-    stack = [root]
-    seen[root] = True
-    order = []
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in nbrs[u]:
-            if not seen[w]:
-                seen[w] = True
-                children[u].append(w)
-                stack.append(w)
-    return children
+def _centroid_rooted(seq: tuple[int, ...]) -> bool:
+    """Whether a canonical level sequence is the one kept for its free tree.
 
-
-def _ahu_certificate(children: list[list[int]], root: int):
-    """Canonical nested-tuple encoding of a rooted tree."""
-    def encode(v: int):
-        return tuple(sorted(encode(c) for c in children[v]))
-
-    return encode(root)
-
-
-def _centroids(g: Graph) -> list[int]:
-    n = g.n
-    nbrs = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    size = [1] * n
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in nbrs[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    best = None
-    out = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in nbrs[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if best is None or heaviest < best:
-            best = heaviest
-            out = [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
-
-
-def tree_certificate(g: Graph):
-    """Isomorphism certificate of a free tree (centroid-rooted encoding)."""
-    cents = _centroids(g)
-    if len(cents) == 1:
-        children = _children_lists(g, cents[0])
-        return ("c", _ahu_certificate(children, cents[0]))
-    c1, c2 = cents
-    ch1 = _children_lists(g, c1)
-    ch2 = _children_lists(g, c2)
-    # split the central edge: encode each half without the other centroid
-    ch1[c1] = [w for w in ch1[c1] if w != c2]
-    ch2[c2] = [w for w in ch2[c2] if w != c1]
-    halves = sorted([_ahu_certificate(ch1, c1), _ahu_certificate(ch2, c2)])
-    return ("b", halves[0], halves[1])
+    The root's subtrees are the runs starting at each level-1 entry.
+    """
+    n = len(seq)
+    starts = [i for i, level in enumerate(seq) if level == 1] + [n]
+    for i, j in zip(starts, starts[1:]):
+        if 2 * (j - i) > n:
+            return False
+        if 2 * (j - i) == n:
+            return seq[:i] + seq[j:] >= tuple(level - 1 for level in seq[i:j])
+    return True
 
 
 def free_trees(n: int) -> list[Graph]:
-    """All unlabeled free trees on ``n`` vertices, deterministically ordered."""
+    """All unlabeled free trees on ``n`` vertices, deterministically ordered.
+
+    Vertex 0 of every tree is a centroid; see the module docstring.
+    """
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"tree size must be between 1 and {MAX_TREE_N}")
-    seen = set()
-    out = []
-    for seq in rooted_level_sequences(n):
-        t = tree_from_level_sequence(seq)
-        cert = tree_certificate(t)
-        if cert not in seen:
-            seen.add(cert)
-            out.append(t)
-    return out
+    return [
+        tree_from_level_sequence(seq)
+        for seq in rooted_level_sequences(n)
+        if _centroid_rooted(seq)
+    ]

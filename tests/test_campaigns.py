@@ -137,7 +137,7 @@ class TestTreeCampaign:
         with pytest.raises(ValueError):
             campaign_trees(1)
         with pytest.raises(ValueError):
-            campaign_trees(15)
+            campaign_trees(17)
 
 
 class TestPrimeFiveCampaign:

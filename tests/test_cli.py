@@ -133,7 +133,7 @@ class TestPeriodic:
     def test_c4(self, capsys):
         assert main(["periodic", "--g6", to_graph6(cycle_graph(4)), "--vertex", "0"]) == 0
         out = capsys.readouterr().out
-        assert "periodic" in out and "G=2" in out and "1/1 pi" in out
+        assert "periodic" in out and "G=2" in out and "period=1/1 pi" in out
 
     def test_c5(self, capsys):
         assert main(["periodic", "--g6", to_graph6(cycle_graph(5)), "--vertex", "0"]) == 0

@@ -1,20 +1,26 @@
-"""Free-tree enumeration: counts, canonical uniqueness, and a reference
+"""Free-tree enumeration: counts, centroid roots, and a reference
 cross-check against networkx."""
 
 import pytest
 
 from lafr.graphs import is_connected, to_graph6
-from lafr.trees import (
-    free_trees,
-    rooted_level_sequences,
-    tree_certificate,
-    tree_from_level_sequence,
-)
+from lafr.trees import free_trees, rooted_level_sequences, tree_from_level_sequence
 
-# unlabeled free trees (n = 1..12)
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# unlabeled free trees (n = 1..16, OEIS A000055)
+FREE_TREE_COUNTS = [
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+]
 # unlabeled rooted trees (n = 1..12)
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+def _nx(t):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(t.n))
+    h.add_edges_from(t.edges)
+    return h
 
 
 class TestRootedEnumeration:
@@ -32,7 +38,10 @@ class TestRootedEnumeration:
 
 
 class TestFreeTrees:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize(
+        "n",
+        [*range(1, 15), *(pytest.param(n, marks=pytest.mark.slow) for n in (15, 16))],
+    )
     def test_counts(self, n):
         assert len(free_trees(n)) == FREE_TREE_COUNTS[n - 1]
 
@@ -42,9 +51,21 @@ class TestFreeTrees:
                 assert t.n == n and t.num_edges == n - 1 and is_connected(t)
 
     def test_pairwise_nonisomorphic(self):
+        import networkx as nx
+
         for n in range(2, 11):
-            certs = [tree_certificate(t) for t in free_trees(n)]
-            assert len(set(certs)) == len(certs)
+            ours = [_nx(t) for t in free_trees(n)]
+            for i, a in enumerate(ours):
+                assert not any(nx.is_isomorphic(a, b) for b in ours[i + 1 :])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_vertex_zero_is_centroid(self, n):
+        import networkx as nx
+
+        for t in free_trees(n):
+            h = _nx(t)
+            h.remove_node(0)
+            assert all(2 * len(c) <= n for c in nx.connected_components(h))
 
     def test_deterministic(self):
         a = [to_graph6(t) for t in free_trees(9)]
@@ -53,17 +74,12 @@ class TestFreeTrees:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            free_trees(15)
+            free_trees(17)
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_networkx_corpus(self, n):
         import networkx as nx
 
-        from lafr.graphs import Graph
-
-        ours = {tree_certificate(t) for t in free_trees(n)}
-        theirs = {
-            tree_certificate(Graph.from_edges(n, G.edges()))
-            for G in nx.nonisomorphic_trees(n)
-        }
-        assert ours == theirs
+        ours = [_nx(t) for t in free_trees(n)]
+        for theirs in nx.nonisomorphic_trees(n):
+            assert sum(nx.is_isomorphic(theirs, a) for a in ours) == 1
