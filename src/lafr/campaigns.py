@@ -1,11 +1,10 @@
 """Exhaustive verification campaigns over graph corpora.
 
-Three corpora drive the campaigns: unlabeled free trees, all labeled
-graphs on a fixed small vertex count (adjacency bitmasks), and a fixed
-battery of constructions.  The prime-order campaign builds the isomorphism
-classes by vertex augmentation, keyed by their least relabeling, decides
-each class once with the exact pipeline and certifies that the class orbits
-cover every labeled graph; no verdict touches floating point.
+Three corpora drive the campaigns: unlabeled free trees, the isomorphism
+classes on a small vertex count, built by vertex augmentation and certified
+by their orbits to cover every labeled graph, and a battery of constructions.
+The prime-order campaign and the battery's double cones decide each class
+once, exactly, on its least relabeling; no verdict touches floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import pi
+from math import factorial, pi
 from random import Random
 
 import numpy as np
@@ -109,7 +108,7 @@ def _relabel_tables(p: int) -> tuple[np.ndarray, ...]:
             for perm in permutations(range(p))
         ]
     )
-    bit_values = (1 << dest).T  # (bits, p!)
+    bit_values = (1 << dest.astype(np.int64)).T  # (bits, p!); at p = 1 dest is empty, float
     byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
     tables = []
     for lo in range(0, len(pairs), 8):
@@ -122,7 +121,7 @@ def relabelings(p: int, masks) -> np.ndarray:
     """Every relabeling of each mask: one row of p! masks per mask."""
     masks = np.asarray(masks, dtype=np.int64)
     rows = [t[(masks >> 8 * k) & 0xFF] for k, t in enumerate(_relabel_tables(p))]
-    return functools.reduce(np.bitwise_or, rows)
+    return functools.reduce(np.bitwise_or, rows, np.zeros((len(masks), 1), np.int32))
 
 
 def canonical_masks(p: int, masks) -> np.ndarray:
@@ -134,8 +133,9 @@ def canonical_masks(p: int, masks) -> np.ndarray:
     return relabelings(p, masks).min(axis=1)
 
 
-def isomorphism_classes(p: int) -> np.ndarray:
-    """Sorted canonical keys of the isomorphism classes on p vertices.
+def isomorphism_classes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted canonical keys of the isomorphism classes on p vertices, and
+    their orbits p!/|Aut|, certified to cover all 2^(p(p-1)/2) masks.
 
     Vertex augmentation (Read 1978; McKay 1998): each class on n - 1
     vertices gains a new vertex 0 with each of its 2^(n-1) neighbour sets.
@@ -146,7 +146,11 @@ def isomorphism_classes(p: int) -> np.ndarray:
     for n in range(2, p + 1):
         low = np.arange(1 << (n - 1))
         keys = np.unique([canonical_masks(n, (k << (n - 1)) | low) for k in keys])
-    return keys
+    orbits = factorial(p) // np.array([(relabelings(p, [k]) == k).sum() for k in keys])
+    total = 1 << (p * (p - 1) // 2)
+    if orbits.sum() != total:
+        raise RuntimeError(f"class orbits cover {orbits.sum()} of {total} masks")
+    return keys, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +223,29 @@ def campaign_prime_order(p: int) -> CampaignResult:
     admitting proper revival must be a double cone.
 
     Each connected isomorphism class is decided once, exactly, on its key,
-    and the verdict holds for its whole orbit of p!/|Aut| labeled graphs.
-    The orbits must sum to all 2^(p(p-1)/2) labeled graphs: a completeness
-    certificate checked on every run.  ``positives`` counts labeled graphs;
-    ``counterexamples`` lists one graph6 per isomorphism class.
+    and the verdict holds for its whole certified orbit of p!/|Aut| labeled
+    graphs.  ``positives`` counts labeled graphs; ``counterexamples`` lists
+    one graph6 per isomorphism class.
     """
     if p not in (5, 7):
         raise ValueError("prime-order campaign supports p in {5, 7}")
     start = time.perf_counter()
-    total_masks = 1 << (p * (p - 1) // 2)
-    classes = isomorphism_classes(p)
-    rows = relabelings(p, classes)
-    orbits = rows.shape[1] // (rows == classes[:, None]).sum(axis=1)  # p! / |Aut|
-    if orbits.sum() != total_masks:
-        raise RuntimeError(f"class orbits cover {orbits.sum()} of {total_masks} masks")
+    classes, orbits = isomorphism_classes(p)
     connected = np.array([is_connected(mask_to_graph(p, k)) for k in classes.tolist()])
     positive_keys, counterexamples = _confirm_masks(p, classes[connected].tolist())
     positive = np.isin(classes, positive_keys)
+    sample = np.unique(relabelings(p, classes[positive]))[:16]
     counterexamples.sort()
     return CampaignResult(
         name=f"prime{p}",
-        corpus_size=total_masks,
+        corpus_size=int(orbits.sum()),
         counterexamples=counterexamples,
         wall_time_s=time.perf_counter() - start,
         details={
             "connected_graphs": int(orbits[connected].sum()),
             "connected_classes": int(connected.sum()),
             "positives": int(orbits[positive].sum()),
-            "positive_masks_sample": np.unique(rows[positive])[:16].tolist(),
+            "positive_masks_sample": sample.tolist(),
             "classes": len(classes),
             "positive_classes": len(positive_keys),
         },
@@ -260,9 +259,9 @@ def campaign_prime_order(p: int) -> CampaignResult:
 def _battery_double_cones(failures: list[str]) -> int:
     checked = 0
     for k in range(1, 6):
-        for mask in all_graph_masks(k):
-            y = mask_to_graph(k, mask)
-            g = double_cone(y)
+        keys, orbits = isomorphism_classes(k)
+        for key, orbit in zip(keys.tolist(), orbits.tolist()):
+            g = double_cone(mask_to_graph(k, key))
             n = g.n
             d = decide_proper_lafr(g, 0, 1)
             amp = amplitudes_at(d.phase) if d.status is RevivalStatus.PROPER else None
@@ -276,7 +275,7 @@ def _battery_double_cones(failures: list[str]) -> int:
                 )
                 <= 1e-9
             )
-            checked += 1
+            checked += orbit
             if not ok:
                 failures.append(f"double-cone {to_graph6(g)}")
     return checked
@@ -310,7 +309,7 @@ def campaign_constructions() -> CampaignResult:
     failures: list[str] = []
     details: dict = {}
 
-    details["double_cones_checked"] = _battery_double_cones(failures)
+    details["double_cones_checked"] = checked = _battery_double_cones(failures)
 
     cartesian_cases = [
         ("K3,P3,2/3", complete_graph(3), path_graph(3), 2, 3),
@@ -318,6 +317,7 @@ def campaign_constructions() -> CampaignResult:
         ("K1,P3,2/3", empty_graph(1), path_graph(3), 2, 3),
     ]
     for label, x, y, num, den in cartesian_cases:
+        checked += 1
         if not check_cartesian_product_rule(x, y, num, den):
             failures.append(f"cartesian {label}")
     details["cartesian_cases"] = len(cartesian_cases)
@@ -328,11 +328,13 @@ def campaign_constructions() -> CampaignResult:
         ("P4,2/1", path_graph(4), 2, 1),
     ]
     for label, x, num, den in complement_cases:
+        checked += 1
         if not check_complement_transfer(x, num, den):
             failures.append(f"complement {label}")
     details["complement_cases"] = len(complement_cases)
 
     details["joins_checked"] = _battery_joins(failures, Random(20260810))
+    checked += details["joins_checked"]
 
     extension_cases = [
         ("C4+K4", cycle_graph(4), (0, 2), complete_graph(4), Fraction(1, 2)),
@@ -346,6 +348,7 @@ def campaign_constructions() -> CampaignResult:
         ("P3+K3", path_graph(3), (0, 2), complete_graph(3), Fraction(2, 3)),
     ]
     for label, x, pair, y, t in extension_cases:
+        checked += 1
         d = check_join_extension(x, pair, y)
         if d.status is not RevivalStatus.PROPER or not proper_time_valid(
             d, t.numerator, t.denominator
@@ -355,6 +358,7 @@ def campaign_constructions() -> CampaignResult:
 
     # threshold instance: initial edgeless pair joined to a 4-clique
     thr = double_cone(complete_graph(4))
+    checked += 1
     d = decide_proper_lafr(thr, 0, 1)
     tau = Fraction(*d.earliest_time) if d.earliest_time else None
     threshold_ok = (
@@ -368,6 +372,7 @@ def campaign_constructions() -> CampaignResult:
     details["threshold_ok"] = threshold_ok
 
     for side in (2, 4):
+        checked += 1
         h = hadamard_graph(sylvester_hadamard(side))
         part = strong_cospectral(h, 0, side * side)
         if not hadamard_partition_check(side, part):
@@ -383,20 +388,14 @@ def campaign_constructions() -> CampaignResult:
     details["hadamard_sides"] = [2, 4]
 
     for q in (1, 3, 5):
+        checked += 1
         if not check_polygamy_conditions(12 * q, 12, 6 * q, 4).ok:
             failures.append(f"polygamy q={q}")
     details["polygamy_q"] = [1, 3, 5]
 
     return CampaignResult(
         name="constructions",
-        corpus_size=details["double_cones_checked"]
-        + details["joins_checked"]
-        + len(cartesian_cases)
-        + len(complement_cases)
-        + len(extension_cases)
-        + 2
-        + 3
-        + 1,
+        corpus_size=checked,
         counterexamples=failures,
         wall_time_s=time.perf_counter() - start,
         details=details,

@@ -88,29 +88,40 @@ class TestCanonicalKey:
 
 class TestIsomorphismClasses:
     def test_counts_are_a000088(self):
-        counts = [len(isomorphism_classes(p)) for p in range(1, 8)]
+        counts = [len(isomorphism_classes(p)[0]) for p in range(1, 8)]
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
+    def test_one_vertex(self):
+        assert relabelings(1, [0]).tolist() == [[0]]
+        keys, orbits = isomorphism_classes(1)
+        assert keys.tolist() == [0] and orbits.tolist() == [1]
+
     def test_p6_matches_brute_force_keys(self):
-        # all 2^15 labeled graphs on six vertices, keyed 1024 masks at a time
-        keys = np.concatenate(
-            [
-                canonical_masks(6, np.arange(lo, lo + 1024))
-                for lo in range(0, 1 << 15, 1024)
-            ]
-        )
-        brute, counts = np.unique(keys, return_counts=True)
-        classes = isomorphism_classes(6)
-        assert classes.tolist() == brute.tolist()
-        # orbit size p!/|Aut|, with |Aut| the relabelings that fix the key
-        aut = (relabelings(6, classes) == classes[:, None]).sum(axis=1)
-        assert (720 // aut).tolist() == counts.tolist()
+        # every labeled graph on p <= 6 vertices, keyed 1024 masks at a time:
+        # the classes are the distinct keys and each orbit is a class's size
+        for p in range(1, 7):
+            size = 1 << (p * (p - 1) // 2)
+            keys = np.concatenate(
+                [
+                    canonical_masks(p, np.arange(lo, min(lo + 1024, size)))
+                    for lo in range(0, size, 1024)
+                ]
+            )
+            brute, counts = np.unique(keys, return_counts=True)
+            classes, orbits = isomorphism_classes(p)
+            assert classes.tolist() == brute.tolist()
+            assert orbits.tolist() == counts.tolist()
 
     def test_missing_class_breaks_the_certificate(self, monkeypatch):
-        full = isomorphism_classes(5)
-        monkeypatch.setattr(campaigns, "isomorphism_classes", lambda p: full[1:])
+        # key the edgeless graph as the one-edge graph, losing its class
+        canonical = campaigns.canonical_masks
+        monkeypatch.setattr(
+            campaigns, "canonical_masks", lambda n, masks: np.maximum(canonical(n, masks), 1)
+        )
         with pytest.raises(RuntimeError, match="cover"):
             campaign_prime_order(5)
+        with pytest.raises(RuntimeError, match="cover"):
+            campaign_constructions()
 
 
 class TestTreeCampaign:
@@ -210,6 +221,21 @@ class TestConstructionCampaign:
         assert result.passed, result.counterexamples
         assert result.details["double_cones_checked"] == 1099
         assert result.details["threshold_ok"]
+        assert result.corpus_size == 1134
+
+    def test_one_double_cone_per_class(self, monkeypatch):
+        bases = []
+
+        def recording_double_cone(y):
+            bases.append(y)
+            return double_cone(y)
+
+        monkeypatch.setattr(campaigns, "double_cone", recording_double_cone)
+        failures = []
+        # 52 classes on 1..5 vertices (A000088) stand for 1099 labeled graphs
+        assert campaigns._battery_double_cones(failures) == 1099
+        assert failures == []
+        assert [y.n for y in bases] == [1] + [2] * 2 + [3] * 4 + [4] * 11 + [5] * 34
 
 
 class TestCycleWithChords:
