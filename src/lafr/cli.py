@@ -52,6 +52,7 @@ _NAME_FAMILIES = {
     "O": "empty",
     "E": "empty",
 }
+_MAX_N = 500  # largest vertex count taken for exact work (analyze --max-n default)
 
 
 def graph_from_token(token: str) -> Graph:
@@ -62,20 +63,24 @@ def graph_from_token(token: str) -> Graph:
     return parse_graph6(token)
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args, max_n: int) -> Graph:
+    """The input graph, at most max_n vertices; a shorthand's n is read unbuilt."""
+    m = _NAME_PATTERN.match(args.g6 or "")
+    if m and int(m.group(2)) > max_n:
+        raise ValueError(f"graph too large (n={int(m.group(2))} > {max_n})")
     if args.g6 is not None:
-        return graph_from_token(args.g6)
-    text = Path(args.file).read_text()
-    if args.format == "edgelist":
-        return parse_edgelist(text)
-    return parse_graph6((text.strip().splitlines() or [""])[0])
+        g = graph_from_token(args.g6)
+    elif args.format == "edgelist":
+        g = parse_edgelist(Path(args.file).read_text())
+    else:
+        g = parse_graph6((Path(args.file).read_text().strip().splitlines() or [""])[0])
+    if g.n > max_n:
+        raise ValueError(f"graph too large (n={g.n} > {max_n})")
+    return g
 
 
 def _cmd_analyze(args) -> int:
-    g = _load_graph(args)
-    if g.n > args.max_n:
-        print(f"graph too large (n={g.n} > {args.max_n})", file=sys.stderr)
-        return 2
+    g = _load_graph(args, args.max_n)
     pairs = None
     if args.pairs:
         pairs = []
@@ -94,7 +99,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    g = graph_from_token(args.g6)
+    g = _load_graph(args, _MAX_N)
     if not 0 <= args.vertex < g.n:
         print("vertex out of range", file=sys.stderr)
         return 2
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", action="store_true", help="emit JSON")
     p_an.add_argument("--tol", type=float, default=1e-9,
                       help="oracle verification tolerance")
-    p_an.add_argument("--max-n", type=int, default=500,
+    p_an.add_argument("--max-n", type=int, default=_MAX_N,
                       help="largest vertex count accepted for exact analysis")
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -19,6 +19,9 @@ from .graphs import Graph, laplacian
 
 _EIGH_MAX_N = 2000
 _SYMMETRY_TOL = 1e-12
+_LEAK_TOL = 1e-7  # largest leakage of a reported revival time
+_BETA_MIN = 1e-3  # smallest |beta| of a reported revival time
+_REFINE_STEPS = 20  # bisection steps per candidate time
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
     return leak, np.abs(u_a[:, b])
 
 
-def _refine_minimum(g: Graph, a: int, b: int, lo, hi, steps: int = 20):
+def _refine_minimum(g: Graph, a: int, b: int, lo, hi):
     """Shrink every bracket [lo, hi] around the minimum of its unimodal
     leakage dip by bisection, all brackets at once.
 
@@ -98,7 +101,7 @@ def _refine_minimum(g: Graph, a: int, b: int, lo, hi, steps: int = 20):
     so every bracket halves per step.
     """
     k = len(lo)
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         mid = (lo + hi) / 2.0
         delta = (hi - lo) / 64.0
         leak, _ = pair_leakage(g, a, b, np.concatenate([mid - delta, mid + delta]))
@@ -108,22 +111,14 @@ def _refine_minimum(g: Graph, a: int, b: int, lo, hi, steps: int = 20):
     return (lo + hi) / 2.0
 
 
-def time_scan(
-    g: Graph,
-    a: int,
-    b: int,
-    t_max: float,
-    steps: int,
-    leak_tol: float = 1e-7,
-    beta_min: float = 1e-3,
-) -> list[float]:
+def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]:
     """Grid-scan (0, t_max] for revival events of a pair.
 
     Grid points whose leakage dips below a coarse gate are refined together
     by 20 bisection steps on the leakage function; a refined time is
-    reported only if its leakage passes ``leak_tol`` with |beta| above
-    ``beta_min``.  The coarse gate scales with the grid pitch because
-    leakage grows linearly when moving away from an exact revival time.
+    reported only if its leakage is at most 1e-7 with |beta| above 1e-3.
+    The coarse gate scales with the grid pitch because leakage grows
+    linearly when moving away from an exact revival time.
     U(t) is read only through :func:`pair_leakage`, once for the grid,
     once per bisection step and once for the refined times, however many
     candidates there are.
@@ -134,14 +129,14 @@ def time_scan(
     times = dt * np.arange(1, steps + 1)
     leak, beta = pair_leakage(g, a, b, times)
     slope = max(1.0, float(graph_spectrum(g).eigenvalues[-1]))
-    gate = max(leak_tol, slope * dt)
-    near = times[(leak <= gate) & (beta > beta_min)]
+    gate = max(_LEAK_TOL, slope * dt)
+    near = times[(leak <= gate) & (beta > _BETA_MIN)]
     t_star = _refine_minimum(
         g, a, b, np.maximum(near - dt, 1e-12), np.minimum(near + dt, t_max)
     )
     leak, beta = pair_leakage(g, a, b, t_star)
     hits: list[float] = []
-    for t in t_star[(leak <= leak_tol) & (beta > beta_min)]:
+    for t in t_star[(leak <= _LEAK_TOL) & (beta > _BETA_MIN)]:
         if not hits or abs(hits[-1] - t) > dt / 2:
             hits.append(float(t))
     return hits

@@ -1,14 +1,17 @@
 """Campaign harnesses: tree scan, prime-order scan, construction battery."""
 
+import dataclasses
+from collections import Counter
 from itertools import permutations
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lafr import campaigns
+from lafr import campaigns, oracle
 from lafr.campaigns import (
-    _confirm_masks,
+    _has_proper_pair,
     all_graph_masks,
     campaign_constructions,
     campaign_prime_order,
@@ -28,8 +31,10 @@ from lafr.graphs import (
     is_connected,
     is_double_cone,
     parse_graph6,
+    to_graph6,
 )
-from lafr.revival import RevivalStatus, all_lafr_pairs
+from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
+from lafr.trees import free_trees
 
 
 class TestMaskCorpus:
@@ -150,6 +155,17 @@ class TestTreeCampaign:
         with pytest.raises(ValueError):
             campaign_trees(17)
 
+    def test_every_revival_on_four_or_more_vertices_fails(self, monkeypatch):
+        proper = SimpleNamespace(status=RevivalStatus.PROPER)
+        monkeypatch.setattr(campaigns, "all_lafr_pairs", lambda g: [proper])
+        result = campaign_trees(6)
+        assert not result.passed
+        bigger = [to_graph6(t) for n in (4, 5, 6) for t in free_trees(n)]
+        assert len(bigger) == 11 and result.counterexamples == bigger
+        assert result.details["graphs_with_proper_pairs"][2:] == bigger
+        assert result.details["counts_per_n"] == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6}
+        assert result.corpus_size == 13
+
 
 class TestPrimeFiveCampaign:
     def test_no_counterexamples(self):
@@ -179,9 +195,8 @@ class TestPrimeFiveCampaign:
         assert result.details["positive_masks_sample"] == brute[:16]
 
     def test_double_cone_k3_is_positive(self):
-        mask = graph_to_mask(double_cone(complete_graph(3)))
-        positives, counterexamples = _confirm_masks(5, [mask])
-        assert positives == [mask] and counterexamples == []
+        g = mask_to_graph(5, graph_to_mask(double_cone(complete_graph(3))))
+        assert _has_proper_pair(g) and is_double_cone(g) is not None
 
     def test_double_cone_k3_class_keys_to_one_positive(self):
         g = double_cone(complete_graph(3))
@@ -190,8 +205,23 @@ class TestPrimeFiveCampaign:
             for perm in permutations(range(5))
         }
         assert len(keys) == 1
-        key = keys.pop()
-        assert _confirm_masks(5, [key]) == ([key], [])
+        g = mask_to_graph(5, keys.pop())
+        assert _has_proper_pair(g) and is_double_cone(g) is not None
+
+    def test_non_double_cones_fail(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "is_double_cone", lambda g: None)
+        result = campaign_prime_order(5)
+        assert not result.passed
+        cex = result.counterexamples
+        assert len(cex) == 4 and cex == sorted(cex)
+        # one per positive class, each really a double cone with revival
+        graphs = [parse_graph6(c) for c in cex]
+        assert len({canonical_key(5, graph_to_mask(g)) for g in graphs}) == 4
+        for g in graphs:
+            assert is_double_cone(g) is not None
+            assert any(d.status is RevivalStatus.PROPER for d in all_lafr_pairs(g))
+        assert result.details["positives"] == 65
+        assert result.details["positive_classes"] == 4
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
@@ -231,11 +261,93 @@ class TestConstructionCampaign:
             return double_cone(y)
 
         monkeypatch.setattr(campaigns, "double_cone", recording_double_cone)
-        failures = []
-        # 52 classes on 1..5 vertices (A000088) stand for 1099 labeled graphs
-        assert campaigns._battery_double_cones(failures) == 1099
-        assert failures == []
-        assert [y.n for y in bases] == [1] + [2] * 2 + [3] * 4 + [4] * 11 + [5] * 34
+        result = campaign_constructions()
+        assert result.passed
+        # 52 classes on 1..5 vertices (A000088) stand for 1099 labeled graphs;
+        # the join extension and the threshold instance add DC(K4) twice
+        assert result.details["double_cones_checked"] == 1099
+        sizes = [1] + [2] * 2 + [3] * 4 + [4] * 11 + [5] * 34
+        assert [y.n for y in bases] == sizes + [4, 4]
+
+
+def _failing_decision(*args):
+    return dataclasses.replace(decide_proper_lafr(*args), status=RevivalStatus.PERIODIC_ONLY)
+
+
+def _kind(label):
+    # a double-cone or join-timing label ends in the graph6 of its case
+    head = label.split()[0]
+    return head if head in ("double-cone", "join-timing") else label
+
+
+# a failing checker, and the kinds of the battery cases it fails, in order
+BATTERY_FAILURES = {
+    "revival_residual": (
+        (oracle, lambda *args: 1.0), ["double-cone"] * 52
+    ),
+    "check_cartesian_product_rule": (
+        (campaigns, lambda *args: False),
+        ["cartesian K3,P3,2/3", "cartesian K2,P3,2/3", "cartesian K1,P3,2/3"],
+    ),
+    "check_complement_transfer": (
+        (campaigns, lambda *args: False),
+        ["complement C4,1/2", "complement P3+K1,1/2", "complement P4,2/1"],
+    ),
+    "check_join_timing": ((campaigns, lambda *args: False), ["join-timing"] * 20),
+    "proper_time_valid": (
+        (campaigns, lambda *args: False),
+        ["join-extension C4+K4", "join-extension DC(K4)+C6", "join-extension P3+K3"],
+    ),
+    "decide_proper_lafr": (
+        (campaigns, _failing_decision),
+        ["double-cone"] * 52
+        + ["threshold 2,4", "hadamard n=2 revival", "hadamard n=4 revival"],
+    ),
+    "hadamard_partition_check": (
+        (campaigns, lambda *args: False),
+        ["hadamard n=2 partition", "hadamard n=4 partition"],
+    ),
+    "check_polygamy_conditions": (
+        (campaigns, lambda *args: SimpleNamespace(ok=False)),
+        ["polygamy q=1", "polygamy q=3", "polygamy q=5"],
+    ),
+}
+
+
+class TestBatteryFailures:
+    """Every failing battery case is recorded once and the corpus size holds."""
+
+    @pytest.mark.parametrize("name", sorted(BATTERY_FAILURES))
+    def test_failing_checker(self, monkeypatch, name):
+        (module, failing), kinds = BATTERY_FAILURES[name]
+        monkeypatch.setattr(module, name, failing)
+        result = campaign_constructions()
+        assert not result.passed
+        assert [_kind(label) for label in result.counterexamples] == kinds
+        assert result.corpus_size == 1134
+        assert result.details["double_cones_checked"] == 1099
+        double_cones = [c for c in result.counterexamples if c.startswith("double-cone")]
+        assert len(set(double_cones)) == len(double_cones)
+
+    def test_all_failing_in_battery_order(self, monkeypatch):
+        for name, ((module, failing), _) in BATTERY_FAILURES.items():
+            monkeypatch.setattr(module, name, failing)
+        result = campaign_constructions()
+        order = [
+            "double-cone", "cartesian", "complement", "join-timing",
+            "join-extension", "threshold", "hadamard", "polygamy",
+        ]
+        heads = [label.split()[0] for label in result.counterexamples]
+        assert heads == sorted(heads, key=order.index)
+        assert Counter(heads) == {
+            "double-cone": 52, "cartesian": 3, "complement": 3, "join-timing": 20,
+            "join-extension": 3, "threshold": 1, "hadamard": 4, "polygamy": 3,
+        }
+        assert [c for c in result.counterexamples if c.startswith("hadamard")] == [
+            "hadamard n=2 partition", "hadamard n=2 revival",
+            "hadamard n=4 partition", "hadamard n=4 revival",
+        ]
+        assert result.corpus_size == 1134
 
 
 class TestCycleWithChords:

@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
+from lafr import campaigns, cli
 from lafr.cli import graph_from_token, main
 from lafr.graphs import (
     complete_graph,
     cycle_graph,
     double_cone,
+    empty_graph,
     parse_graph6,
     path_graph,
     to_graph6,
@@ -129,6 +133,33 @@ class TestAnalyze:
         assert "note" in report and "pi/2" in report["note"]
 
 
+class TestSizeLimit:
+    """analyze and periodic refuse more than 500 vertices with exit 2; a
+    family shorthand is refused before its graph is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--g6", "K501"], ["periodic", "--g6", "K501", "--vertex", "0"]],
+    )
+    def test_shorthand_refused_unbuilt(self, monkeypatch, capsys, argv):
+        def unbuildable(name, n):
+            raise AssertionError(f"{name} graph on {n} vertices was built")
+
+        monkeypatch.setattr(cli, "standard_graph", unbuildable)
+        assert main(argv) == 2
+        assert "graph too large (n=501 > 500)" in capsys.readouterr().err
+
+    def test_parsed_inputs_checked_after_parsing(self, capsys, tmp_path):
+        big = to_graph6(empty_graph(501))
+        assert main(["periodic", "--g6", big, "--vertex", "0"]) == 2
+        assert "graph too large" in capsys.readouterr().err
+        el = tmp_path / "p3.el"
+        el.write_text("3\n0 1\n1 2\n")
+        assert main(["analyze", "--file", str(el), "--format", "edgelist", "--max-n", "2"]) == 2
+        assert "graph too large (n=3 > 2)" in capsys.readouterr().err
+        assert main(["analyze", "--file", str(el), "--format", "edgelist", "--max-n", "3"]) == 0
+
+
 class TestPeriodic:
     def test_c4(self, capsys):
         assert main(["periodic", "--g6", to_graph6(cycle_graph(4)), "--vertex", "0"]) == 0
@@ -199,6 +230,13 @@ class TestCampaignCommand:
     def test_prime5(self, capsys):
         assert main(["campaign", "prime5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_prime5_counterexamples_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(campaigns, "is_double_cone", lambda g: None)
+        assert main(["campaign", "prime5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "counterexamples=4" in out
+        assert out.count("  counterexample: ") == 4
 
     def test_workers_below_one(self, capsys):
         for workers in ("0", "-2"):
