@@ -63,19 +63,28 @@ def graph_from_token(token: str) -> Graph:
     return parse_graph6(token)
 
 
+def _order(token: str) -> int:
+    """Vertex count of a shorthand or graph6 operand; a shorthand's n is read unbuilt."""
+    m = _NAME_PATTERN.match(token)
+    return int(m.group(2)) if m else parse_graph6(token).n
+
+
+def _check_order(n: int, max_n: int = _MAX_N) -> None:
+    if n > max_n:
+        raise ValueError(f"graph too large (n={n} > {max_n})")
+
+
 def _load_graph(args, max_n: int) -> Graph:
     """The input graph, at most max_n vertices; a shorthand's n is read unbuilt."""
-    m = _NAME_PATTERN.match(args.g6 or "")
-    if m and int(m.group(2)) > max_n:
-        raise ValueError(f"graph too large (n={int(m.group(2))} > {max_n})")
     if args.g6 is not None:
+        if _NAME_PATTERN.match(args.g6):
+            _check_order(_order(args.g6), max_n)
         g = graph_from_token(args.g6)
     elif args.format == "edgelist":
         g = parse_edgelist(Path(args.file).read_text())
     else:
         g = parse_graph6((Path(args.file).read_text().strip().splitlines() or [""])[0])
-    if g.n > max_n:
-        raise ValueError(f"graph too large (n={g.n} > {max_n})")
+    _check_order(g.n, max_n)
     return g
 
 
@@ -114,26 +123,30 @@ def _cmd_construct(args) -> int:
         needs = {"double-cone": "over", "hadamard": "sylvester"}.get(name)
         if needs and getattr(args, needs) is None:
             raise ValueError(f"{name} needs --{needs}")
+        # The order is read from the inputs, so nothing too large is built.
         if name in ("path", "cycle", "complete", "empty"):
-            g = standard_graph(name, int(params[0]))
+            n, build = int(params[0]), lambda: standard_graph(name, n)
         elif name == "double-cone":
-            g = double_cone(graph_from_token(args.over))
+            n, build = _order(args.over) + 2, lambda: double_cone(graph_from_token(args.over))
         elif name == "complement":
-            g = complement(graph_from_token(params[0]))
+            n, build = _order(params[0]), lambda: complement(graph_from_token(params[0]))
         elif name in ("cartesian", "join", "union"):
-            x, y = graph_from_token(params[0]), graph_from_token(params[1])
-            g = {
-                "cartesian": cartesian_product,
-                "join": join,
-                "union": disjoint_union,
-            }[name](x, y)
+            nx, ny = _order(params[0]), _order(params[1])
+            op = {"cartesian": cartesian_product, "join": join, "union": disjoint_union}[name]
+            n = nx * ny if name == "cartesian" else nx + ny
+            build = lambda: op(graph_from_token(params[0]), graph_from_token(params[1]))
         elif name == "threshold":
-            g = threshold_graph([int(x) for x in params[0].split(",")])
+            parts = [int(x) for x in params[0].split(",")]
+            n, build = sum(parts), lambda: threshold_graph(parts)
         elif name == "hadamard":
-            g = hadamard_graph(sylvester_hadamard(args.sylvester))
+            k = args.sylvester  # sylvester_hadamard rejects k outside 0..12
+            n = 4 * 2**k if 0 <= k <= 12 else 0
+            build = lambda: hadamard_graph(sylvester_hadamard(k))
         else:
             print(f"unknown constructor {name!r}", file=sys.stderr)
             return 2
+        _check_order(n)
+        g = build()
     except (IndexError, ValueError) as exc:
         print(f"bad constructor parameters: {exc}", file=sys.stderr)
         return 2

@@ -147,7 +147,7 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("need two distinct vertices in range")
     pair = (a, b) if a < b else (b, a)
-    if None in vertex_spectra(g, pair):
+    if vertex_spectra(g)[a] is None or vertex_spectra(g)[b] is None:
         return RevivalDecision(RevivalStatus.NON_INTEGER_SUPPORT, pair)
     return _classify(pair, strong_cospectral(g, *pair))
 
@@ -188,7 +188,7 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
     if g.n < 3:
         raise SpecialSmallGraphError("all-pairs scan needs at least three vertices")
     buckets: dict = {}
-    for v, spec in enumerate(vertex_spectra(g, range(g.n))):
+    for v, spec in enumerate(vertex_spectra(g)):
         if spec is not None:
             buckets.setdefault(spec.key, []).append(v)
     skip = set(_isolated_edges(g))

@@ -1,12 +1,12 @@
-"""Eigenvalue supports, periodicity and exact strong cospectrality, decided
-vertex by vertex without the characteristic polynomial.
+"""Eigenvalue supports, periodicity and exact strong cospectrality for every
+vertex of a graph in one pass, without the characteristic polynomial.
 
 The eigenvalue support of vertex a is the set of Laplacian eigenvalues mu
 with E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic
 m_a of least degree with m_a(L) e_a = 0.  Every eigenvalue lies in [0, n],
 so the support is all-integer exactly when Q e_a = 0 for
-Q = prod_{mu=0..n} (L - mu).  Each vertex a caller asks about is decided
-once per graph (:func:`vertex_spectra`):
+Q = prod_{mu=0..n} (L - mu).  :func:`vertex_spectra`, the one per-graph
+cache, decides every vertex at once, each candidate support in one batch:
 
 1. Screen modulo a prime p, one numpy pass per graph (:func:`_screen`).  A
    nonzero column a of Q mod p means Q e_a != 0 over the integers, which
@@ -20,7 +20,7 @@ once per graph (:func:`vertex_spectra`):
    e_a = 0 puts the support inside S, and l_mu(L) e_a != 0 for every mu in
    S, with l_mu = prod_{nu in S - mu} (t - nu), puts mu in it.  Then
    E_mu e_a = l_mu(L) e_a / l_mu(mu) exactly.
-3. A candidate that fails its certificate is screened again modulo the
+3. The vertices that fail their certificate are screened again modulo the
    next prime, so an uncertified candidate never yields a verdict.  Only
    the finitely many primes that divide every entry of a nonzero Q e_a, or
    the numerator or denominator of a weight (E_mu)_aa, can mislead the
@@ -39,10 +39,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb, gcd, isqrt, prod
+from typing import TYPE_CHECKING
 
 from .errors import NonIntegerSupportError
 from .exactalg import minimal_polynomial, poly_eval, poly_from_roots
 from .graphs import Graph, adjacency_sets, laplacian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRIME = 1000003
 # The screen works in float64 on residues in [0, p).  Its largest sums are
@@ -80,23 +84,28 @@ class Periodicity:
     big_g: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSpectrum:
     """The certified all-integer support of one vertex a.
 
     ``columns[i]`` is the integer vector l_mu(L) e_a for mu = ``support[i]``,
     scaled by ``signs[i]``, the sign of its first nonzero entry; so
-    E_mu e_a = signs[i] * columns[i] / l_mu(mu).
+    E_mu e_a = signs[i] * columns[i] / l_mu(mu).  Both are views into the
+    arrays of the vertex's support group, in int64 while the certificate
+    bound is below 2^53 and in Python integers above it.
     """
 
     support: tuple[int, ...]
-    signs: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    signs: np.ndarray
+    columns: np.ndarray
 
     @property
     def key(self) -> tuple:
-        """Equal for two vertices exactly when they are strongly cospectral."""
-        return self.support, self.columns
+        """Equal for two vertices exactly when they are strongly cospectral;
+        the dtype depends only on the graph and the support."""
+        if self.columns.dtype == object:
+            return self.support, tuple(map(tuple, self.columns.tolist()))
+        return self.support, self.columns.tobytes()
 
 
 def _next_prime(p: int) -> int:
@@ -125,7 +134,6 @@ def _binomial_inverse(n: int, p: int):
     return t
 
 
-@functools.lru_cache(maxsize=64)
 def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
     """Candidate support of every vertex modulo ``p``: ``None`` where the
     column of Q mod p is nonzero, else the mu of nonzero weight mod p."""
@@ -154,65 +162,56 @@ def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[Verte
     # Entries and partial sums stay below prod(2 * max degree + nu): float64
     # is exact under 2^53, and Python integers take over above it.
     bound = prod(2 * max(g.degrees()) + nu for nu in support)
-    dtype = float if bound < _FLOAT_EXACT else object
+    dtype, ints = (float, np.int64) if bound < _FLOAT_EXACT else (object, object)
     lap = np.array(laplacian(g), dtype=dtype)
-    krylov = [np.eye(g.n, dtype=dtype)[:, verts]]
-    for _ in support[1:]:
-        krylov.append(lap @ krylov[-1])
-    cols = [
-        sum(c * x for c, x in zip(poly_from_roots(nu for nu in support if nu != mu), krylov))
-        for mu in support
+    polys = [poly_from_roots(nu for nu in support if nu != mu) for mu in support]
+    # Axes: mu, entry, vertex.  cols[i] = l_mu(L) e_a accumulates one Krylov
+    # vector L^k e_a at a time, so only the current one is alive.
+    cols = np.zeros((len(support), g.n, len(verts)), dtype=ints)
+    x = np.eye(g.n, dtype=dtype)[:, verts]
+    for k in range(len(support)):
+        if k:
+            x = lap @ x
+        xk = x.astype(ints)
+        for col, poly in zip(cols, polys):
+            col += poly[k] * xk
+    residual = (lap @ cols[0] - support[0] * cols[0]).any(axis=0)
+    # Scale each column by its first nonzero entry's sign (0: a zero column).
+    first = np.take_along_axis(cols, (cols != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    signs = np.where(first < 0, -1, 1)
+    cols *= signs[:, None]
+    ok = (~residual & (first != 0).all(axis=0)).tolist()
+    return [
+        VertexSpectrum(support, signs[:, i], cols[:, :, i]) if good else None
+        for i, good in enumerate(ok)
     ]
-    ints = np.int64 if dtype is float else object
-    residual = (lap @ cols[0] - support[0] * cols[0]).any(axis=0).tolist()
-    # Axes: entry, vertex, mu.  Each vertex's columns become Python integers
-    # only in its own turn, which keeps the peak of live integers low.
-    cols = np.stack(cols, axis=-1).astype(ints)
-    out = []
-    for i, res in enumerate(residual):
-        vcols = cols[:, i].T.tolist()
-        if res or not all(any(c) for c in vcols):
-            out.append(None)
-            continue
-        signs = tuple(1 if next(x for x in c if x) > 0 else -1 for c in vcols)
-        scaled = tuple(tuple(c) if s > 0 else tuple(-x for x in c) for s, c in zip(signs, vcols))
-        out.append(VertexSpectrum(support, signs, scaled))
-    return out
 
 
 @functools.lru_cache(maxsize=64)
-def _decided(g: Graph) -> dict[int, VertexSpectrum | None]:
-    """The vertices of ``g`` decided so far; see :func:`vertex_spectra`."""
-    return {}
-
-
-def vertex_spectra(g: Graph, vertices) -> list[VertexSpectrum | None]:
-    """The certified support of each vertex, ``None`` where the support is
-    not all-integer; every vertex of a graph is decided once."""
-    vertices = list(vertices)
-    if not all(0 <= v < g.n for v in vertices):
-        raise ValueError("vertex out of range")
-    done = _decided(g)
-    todo = [v for v in dict.fromkeys(vertices) if v not in done]
-    p = PRIME
-    while todo:
+def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
+    """The certified support of every vertex, ``None`` where the support is
+    not all-integer; one pass per graph."""
+    out: list[VertexSpectrum | None] = [None] * g.n
+    todo, p = range(g.n), PRIME
+    while True:
         candidates = _screen(g, p)
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in todo:
-            if candidates[v] is None:
-                done[v] = None
-            else:
+            if candidates[v] is not None:
                 groups.setdefault(candidates[v], []).append(v)
-        todo = []
         for support, verts in groups.items():
             for v, spec in zip(verts, _certify(g, support, verts)):
-                if spec is None:
-                    todo.append(v)
-                else:
-                    done[v] = spec
-        if todo:
-            p = _next_prime(p)
-    return [done[v] for v in vertices]
+                out[v] = spec
+        todo = [v for verts in groups.values() for v in verts if out[v] is None]
+        if not todo:
+            return tuple(out)
+        p = _next_prime(p)
+
+
+def _spectrum(g: Graph, a: int) -> VertexSpectrum | None:
+    if not 0 <= a < g.n:
+        raise ValueError("vertex out of range")
+    return vertex_spectra(g)[a]
 
 
 def _moments(g: Graph, a: int) -> list[int]:
@@ -230,7 +229,7 @@ def _moments(g: Graph, a: int) -> list[int]:
 def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
     """The integer part of the support of vertex ``a``, and whether it is
     the whole support."""
-    [spec] = vertex_spectra(g, [a])
+    spec = _spectrum(g, a)
     if spec is not None:
         return EigenvalueSupport(a, frozenset(spec.support), True)
     m_a = minimal_polynomial(_moments(g, a))
@@ -245,7 +244,7 @@ def is_periodic(g: Graph, a: int) -> Periodicity:
     for a support of {0} alone (an isolated vertex), where the walk fixes
     the vertex at every time.
     """
-    [spec] = vertex_spectra(g, [a])
+    spec = _spectrum(g, a)
     if spec is None:
         return Periodicity(a, False, None)
     return Periodicity(a, True, gcd(*spec.support) or None)
@@ -262,7 +261,7 @@ def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     """
     if a == b or not (0 <= a < g.n and 0 <= b < g.n):
         raise ValueError("strong cospectrality needs two distinct vertices in range")
-    spec_a, spec_b = vertex_spectra(g, (a, b))
+    spec_a, spec_b = vertex_spectra(g)[a], vertex_spectra(g)[b]
     for v, spec in ((a, spec_a), (b, spec_b)):
         if spec is None:
             raise NonIntegerSupportError(f"vertex {v} has non-integer support")

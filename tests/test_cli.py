@@ -218,6 +218,35 @@ class TestConstruct:
             assert line.startswith("bad constructor parameters") and option in line
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "complete", "501"],
+            ["construct", "double-cone", "--over", "K499"],
+            ["construct", "cartesian", "K23", "K23"],
+            ["construct", "hadamard", "--sylvester", "7"],
+            ["construct", "threshold", "300,201"],
+            ["construct", "union", to_graph6(empty_graph(300)), "K201"],
+        ],
+    )
+    def test_too_large_refused_unbuilt(self, monkeypatch, capsys, argv):
+        def unbuildable(*args):
+            raise AssertionError("a constructor was called")
+
+        for name in (
+            "standard_graph", "sylvester_hadamard", "threshold_graph",
+            "cartesian_product", "join", "disjoint_union", "double_cone",
+        ):
+            monkeypatch.setattr(cli, name, unbuildable)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "graph too large" in captured.err
+
+    def test_largest_accepted(self, capsys):
+        assert main(["construct", "cartesian", "K20", "K25"]) == 0
+        assert parse_graph6(capsys.readouterr().out.strip()).n == 500
+
+
 class TestCampaignCommand:
     def test_trees_small(self, capsys, tmp_path):
         out = tmp_path / "report.json"

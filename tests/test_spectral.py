@@ -5,6 +5,7 @@ import functools
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -37,6 +38,8 @@ from lafr.graphs import (
     path_graph,
     sylvester_hadamard,
 )
+from lafr.reporting import build_analysis_report
+from lafr.revival import all_lafr_pairs, decide_proper_lafr
 from lafr.spectral import (
     eigenvalue_support,
     is_periodic,
@@ -275,7 +278,7 @@ def assert_matches_reference(g):
     """Every vertex's all-integer flag, support and exact eigenprojection
     columns E_mu e_a agree with the psi reference, in both directions."""
     ref = exact_spectrum(g)
-    for a, spec in enumerate(vertex_spectra(g, range(g.n))):
+    for a, spec in enumerate(vertex_spectra(g)):
         support = {mu for mu, (num, _) in ref.idempotents.items() if num[a][a]}
         assert (spec is not None) == (a in ref.signs)
         assert eigenvalue_support(g, a).integer_eigenvalues == support
@@ -285,7 +288,9 @@ def assert_matches_reference(g):
         for mu, sign, col in zip(spec.support, spec.signs, spec.columns):
             d_mu = prod(mu - nu for nu in spec.support if nu != mu)
             num, den = ref.idempotents[mu]
-            assert [Fraction(sign * x, d_mu) for x in col] == [Fraction(x, den) for x in num[a]]
+            assert [Fraction(int(sign) * x, d_mu) for x in col.tolist()] == [
+                Fraction(x, den) for x in num[a]
+            ]
 
 
 def hypercube(d):
@@ -342,10 +347,21 @@ class TestReferenceAgreement:
 
 @pytest.fixture
 def undecided():
-    """Forget every decided vertex, so the next call screens again."""
-    spectral._decided.cache_clear()
+    """Forget every decided graph, so the next call screens again."""
+    vertex_spectra.cache_clear()
     yield
-    spectral._decided.cache_clear()
+    vertex_spectra.cache_clear()
+
+
+def keys(specs):
+    """Bucket keys of vertex spectra, ``None`` where a support is not
+    all-integer."""
+    return [spec and spec.key for spec in specs]
+
+
+def dtypes(g):
+    """The dtypes of the certified columns of ``g``."""
+    return {spec.columns.dtype for spec in vertex_spectra(g) if spec is not None}
 
 
 def lie_at_first_prime(monkeypatch, vertex, edit):
@@ -369,12 +385,12 @@ class TestCertificate:
     # certificate rejects it and the next prime gives the reference answer.
 
     def _check(self, monkeypatch, g, a, edit):
-        [truth] = vertex_spectra(g, [a])
+        truth = keys(vertex_spectra(g))
         bad = edit(spectral._screen(g, spectral.PRIME)[a])
         assert spectral._certify(g, bad, [a]) == [None]
-        spectral._decided.cache_clear()
+        vertex_spectra.cache_clear()
         primes = lie_at_first_prime(monkeypatch, a, edit)
-        assert vertex_spectra(g, [a]) == [truth]
+        assert keys(vertex_spectra(g)) == truth
         assert primes == [spectral.PRIME, spectral._next_prime(spectral.PRIME)]
         assert_matches_reference(g)
 
@@ -394,17 +410,39 @@ class TestCertificate:
         self._check(monkeypatch, g, 0, lambda s: (0, 2))
 
 
-    def test_python_integers_above_float_range(self, monkeypatch):
+    def test_python_integers_above_float_range(self, monkeypatch, undecided):
         # a support whose entry bound passes 2^53 is certified in Python
-        # integers, with the same columns and the same rejections
+        # integers, with the same columns, signs, rejections and decisions
+        def certified(spec):
+            return spec and (spec.support, spec.signs.tolist(), spec.columns.tolist())
+
         g = cycle_graph(6)
         support = spectral._screen(g, spectral.PRIME)[0]
         wrong = [support[:-1], support + (5,)]
         in_floats = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
+        graphs = [
+            g,
+            hypercube(4),
+            double_cone(complete_graph(4)),
+            cartesian_product(cartesian_product(complete_graph(4), path_graph(3)), cycle_graph(4)),
+            hadamard(2),
+        ]
+        decisions = [all_lafr_pairs(h) for h in graphs]
+        assert [dtypes(h) for h in graphs] == [{np.dtype(np.int64)}] * len(graphs)
+        # the screen's float64 bound reads _FLOAT_EXACT too, so it runs first
+        screen = functools.cache(spectral._screen)
+        for h in graphs:
+            screen(h, spectral.PRIME)
+        monkeypatch.setattr(spectral, "_screen", screen)
         monkeypatch.setattr(spectral, "_FLOAT_EXACT", 0)
         in_ints = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
-        assert in_ints == in_floats
+        assert [list(map(certified, c)) for c in in_ints] == [
+            list(map(certified, c)) for c in in_floats
+        ]
         assert None not in in_ints[0] and in_ints[1] == in_ints[2] == [None] * 6
+        vertex_spectra.cache_clear()
+        assert [all_lafr_pairs(h) for h in graphs] == decisions
+        assert [dtypes(h) for h in graphs] == [{np.dtype(object)}] * len(graphs)
 
 
 class TestScreenBound:
@@ -412,11 +450,47 @@ class TestScreenBound:
         # (n + 1) (p - 1)^2 >= 2^53 already for n = 3 at p = 2^61 - 1
         monkeypatch.setattr(spectral, "PRIME", 2**61 - 1)
         with pytest.raises(ValueError):
-            vertex_spectra(path_graph(3), [0])
+            vertex_spectra(path_graph(3))
 
     def test_largest_exact_order(self):
         p = spectral.PRIME
         assert 9007 * (p - 1) ** 2 < 2**53 <= 9008 * (p - 1) ** 2
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_vertex_out_of_range(self, v):
+        g = cycle_graph(6)
+        for check in (is_periodic, eigenvalue_support):
+            with pytest.raises(ValueError):
+                check(g, v)
+        for check in (strong_cospectral, decide_proper_lafr):
+            for pair in ((0, v), (v, 0)):
+                with pytest.raises(ValueError):
+                    check(g, *pair)
+
+    def test_one_screen_and_one_certificate_per_support(self, monkeypatch, undecided):
+        # K4 x P3 has two candidate supports; every vertex of P4 is screened out
+        g = disjoint_union(cartesian_product(complete_graph(4), path_graph(3)), path_graph(4))
+        supports = {s for s in spectral._screen(g, spectral.PRIME) if s is not None}
+        assert len(supports) == 2 and None in spectral._screen(g, spectral.PRIME)
+        calls = []
+
+        def recorded(real):
+            def call(g, arg, *rest):
+                calls.append((real.__name__, arg))
+                return real(g, arg, *rest)
+
+            return call
+
+        for name in ("_screen", "_certify"):
+            monkeypatch.setattr(spectral, name, recorded(getattr(spectral, name)))
+        is_periodic(g, 0)
+        decide_proper_lafr(g, 0, 1)
+        all_lafr_pairs(g)
+        build_analysis_report(g)
+        expected = [("_screen", spectral.PRIME)] + [("_certify", s) for s in supports]
+        assert Counter(calls) == Counter(expected)
 
 
 def test_import_does_not_load_numpy():
