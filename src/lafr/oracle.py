@@ -2,15 +2,18 @@
 
 Everything here is double precision and deliberately separate from the
 exact pipeline, so the two routes can check each other.  The workhorses
-are the spectral decomposition of the Laplacian, the walk operator
-U(t) = exp(+i t L), the leakage of a vertex pair's two rows of U(t) over a
-vector of times, and dense time scans, which read U(t) only through those
-two rows and refine all their candidate times at once.
+are the spectral decomposition of the Laplacian, the leakage of a vertex
+pair's two rows of the walk operator U(t) = exp(+i t L) over a vector of
+times, grid time scans, and the residual of one column of U(t).  No
+dense U(t) is ever built: a scan precomputes the pair's eigenvector
+products once, reads U(t) only through the pair's rows and refines one
+bracket per leakage dip, and the residual reads U(t) e_a alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +24,14 @@ _EIGH_MAX_N = 2000
 _SYMMETRY_TOL = 1e-12
 _LEAK_TOL = 1e-7  # largest leakage of a reported revival time
 _BETA_MIN = 1e-3  # smallest |beta| of a reported revival time
-_REFINE_STEPS = 20  # bisection steps per candidate time
+_REFINE_STEPS = 10  # refinement steps per candidate time
+_REFINE_PROBES = 7  # probes per bracket and step
 
 
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    time: float
-    entries: np.ndarray  # dense complex, unitary and symmetric
 
 
 def eigh(m) -> Spectrum:
@@ -58,15 +56,47 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return eigh(laplacian(g))
 
 
-def transition_matrix(g: Graph, t: float) -> TransitionMatrix:
-    """U(t) = sum_r exp(i t mu_r) F_r, accumulated from the eigenpairs."""
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+def _check_pair(g: Graph, a: int, b: int) -> None:
+    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+        raise ValueError("need two distinct vertices in range")
+
+
+def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and the pair's products W of shape (n, 2n - 3).
+
+    With phases P[t, r] = exp(i t mu_r), the columns of P @ W are entries
+    of U(t): first U(t)[a, b], then U(t)[a, j] and U(t)[b, j] for every
+    other vertex j.
+    """
+    _check_pair(g, a, b)
     spec = graph_spectrum(g)
-    phases = np.exp(1j * t * spec.eigenvalues)
     v = spec.eigenvectors
-    entries = (v * phases) @ v.T
-    return TransitionMatrix(time=float(t), entries=entries)
+    others = [j for j in range(g.n) if j not in (a, b)]
+    w = np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]]).T
+    return spec.eigenvalues, w.astype(complex)  # cast once, not per pass
+
+
+def _phases(evals: np.ndarray, times) -> np.ndarray:
+    return np.exp(1j * np.outer(times, evals))  # (T, n)
+
+
+def _grid_phases(evals: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """Phases at the grid times k dt, k = 1..steps, from two tables.
+
+    With B = floor(sqrt(steps)) and k = qB + s, 0 <= s < B, the phase is
+    exp(i qB dt mu) * exp(i s dt mu): about 2 sqrt(steps) n exponentials
+    instead of steps * n, at the cost of one more rounded product.
+    """
+    block = math.isqrt(steps)
+    coarse = _phases(evals, dt * block * np.arange(steps // block + 1))
+    fine = _phases(evals, dt * np.arange(block))
+    return (coarse[:, None, :] * fine).reshape(-1, len(evals))[1 : steps + 1]
+
+
+def _leakage(phases: np.ndarray, w: np.ndarray):
+    """Leakage and |beta| at every row of ``phases``, in one pass."""
+    u = np.abs(phases @ w)
+    return u[:, 1:].max(axis=1, initial=0.0), u[:, 0]
 
 
 def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
@@ -76,65 +106,61 @@ def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
     Leakage is the largest magnitude U(t) carries from a or b to any other
     vertex (U(t) is symmetric, so rows and columns agree); beta is U(t)[a, b].
     """
-    spec = graph_spectrum(g)
-    v = spec.eigenvectors
-    others = [j for j in range(g.n) if j not in (a, b)]
-    # U(t)[a, :] = sum_r exp(i t mu_r) v[a, r] * v[:, r]
-    phases = np.exp(1j * np.outer(times, spec.eigenvalues))  # (T, n)
-    u_a = (phases * v[a]) @ v.T  # (T, n)
-    u_b = (phases * v[b]) @ v.T
-    if others:
-        leak = np.maximum(
-            np.abs(u_a[:, others]).max(axis=1), np.abs(u_b[:, others]).max(axis=1)
-        )
-    else:
-        leak = np.zeros(len(times))
-    return leak, np.abs(u_a[:, b])
+    evals, w = _pair_rows(g, a, b)
+    return _leakage(_phases(evals, times), w)
 
 
-def _refine_minimum(g: Graph, a: int, b: int, lo, hi):
+def _refine_minimum(evals: np.ndarray, w: np.ndarray, lo, hi):
     """Shrink every bracket [lo, hi] around the minimum of its unimodal
-    leakage dip by bisection, all brackets at once.
+    leakage dip, all brackets at once.
 
-    Each step probes the local slope at every midpoint in one
-    :func:`pair_leakage` call and keeps the downhill half of each bracket,
-    so every bracket halves per step.
+    Each step evaluates 7 equally spaced interior probes of every bracket
+    in one pass and keeps the two eighths around the lowest probe, so
+    every bracket narrows fourfold per step.
     """
-    k = len(lo)
+    parts = _REFINE_PROBES + 1
+    offsets = np.arange(1, parts) / parts
     for _ in range(_REFINE_STEPS):
-        mid = (lo + hi) / 2.0
-        delta = (hi - lo) / 64.0
-        leak, _ = pair_leakage(g, a, b, np.concatenate([mid - delta, mid + delta]))
-        left = leak[:k] <= leak[k:]  # the left half is downhill
-        lo = np.where(left, lo, mid - delta)
-        hi = np.where(left, mid + delta, hi)
+        width = hi - lo
+        probes = lo[:, None] + width[:, None] * offsets
+        leak, _ = _leakage(_phases(evals, probes.ravel()), w)
+        lo = lo + width * leak.reshape(probes.shape).argmin(axis=1) / parts
+        hi = lo + width * (2 / parts)
     return (lo + hi) / 2.0
 
 
 def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]:
     """Grid-scan (0, t_max] for revival events of a pair.
 
-    Grid points whose leakage dips below a coarse gate are refined together
-    by 20 bisection steps on the leakage function; a refined time is
-    reported only if its leakage is at most 1e-7 with |beta| above 1e-3.
-    The coarse gate scales with the grid pitch because leakage grows
-    linearly when moving away from an exact revival time.
-    U(t) is read only through :func:`pair_leakage`, once for the grid,
-    once per bisection step and once for the refined times, however many
-    candidates there are.
+    A grid point is a candidate when its leakage is below a coarse gate,
+    its |beta| is above 1e-3 and its leakage is no higher than at its grid
+    neighbours, so each dip gets one bracket of +-dt around its lowest grid
+    point.  The coarse gate scales with the grid pitch because leakage
+    grows linearly when moving away from an exact revival time.  All
+    brackets are refined together by 10 steps of 7 probes each; a refined
+    time is reported only if its leakage is at most 1e-7 with |beta| above
+    1e-3.  U(t) is read only through the pair's rows, in one pass for the
+    grid and, when there are candidates, one per refinement step and one
+    for the refined times, however many candidates there are.
     """
     if steps < 1:
         raise ValueError("need at least one grid step")
+    evals, w = _pair_rows(g, a, b)
     dt = t_max / steps
     times = dt * np.arange(1, steps + 1)
-    leak, beta = pair_leakage(g, a, b, times)
-    slope = max(1.0, float(graph_spectrum(g).eigenvalues[-1]))
+    leak, beta = _leakage(_grid_phases(evals, dt, steps), w)
+    slope = max(1.0, float(evals[-1]))
     gate = max(_LEAK_TOL, slope * dt)
-    near = times[(leak <= gate) & (beta > _BETA_MIN)]
+    near = (leak <= gate) & (beta > _BETA_MIN)
+    near[1:] &= leak[1:] <= leak[:-1]  # one bracket per dip
+    near[:-1] &= leak[:-1] <= leak[1:]
+    if not near.any():
+        return []
+    centers = times[near]
     t_star = _refine_minimum(
-        g, a, b, np.maximum(near - dt, 1e-12), np.minimum(near + dt, t_max)
+        evals, w, np.maximum(centers - dt, 1e-12), np.minimum(centers + dt, t_max)
     )
-    leak, beta = pair_leakage(g, a, b, t_star)
+    leak, beta = _leakage(_phases(evals, t_star), w)
     hits: list[float] = []
     for t in t_star[(leak <= _LEAK_TOL) & (beta > _BETA_MIN)]:
         if not hits or abs(hits[-1] - t) > dt / 2:
@@ -145,9 +171,17 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
 def revival_residual(
     g: Graph, a: int, b: int, tau: float, alpha: complex, beta: complex
 ) -> float:
-    """Max-norm residual of U(tau) e_a against alpha e_a + beta e_b."""
-    u = transition_matrix(g, tau)
-    target = np.zeros(g.n, dtype=complex)
-    target[a] = alpha
-    target[b] = beta
-    return float(np.abs(u.entries[:, a] - target).max())
+    """Max-norm residual of U(tau) e_a against alpha e_a + beta e_b.
+
+    Reads the one column U(tau) e_a = V (exp(i tau Lambda) * V[a, :]),
+    O(n^2) after the eigendecomposition.
+    """
+    if not np.isfinite(tau):
+        raise ValueError("time must be finite")
+    _check_pair(g, a, b)
+    spec = graph_spectrum(g)
+    v = spec.eigenvectors
+    column = v @ (np.exp(1j * tau * spec.eigenvalues) * v[a])
+    column[a] -= alpha
+    column[b] -= beta
+    return float(np.abs(column).max())

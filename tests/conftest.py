@@ -5,9 +5,10 @@ networkx graph atlas, used here purely as an independent reference.
 Random graphs are drawn from a fixed seed so every run sees the same
 corpus.  The helpers below are references and test-only constructions
 that the package itself never calls: the exact kernel, signed incidence
-matrices, eccentricity, the numeric strong-cospectrality probe, and the
-psi route (characteristic polynomial, integer roots and idempotents) that
-the vertex-local spectra are checked against.
+matrices, eccentricity, the numeric strong-cospectrality probe, the
+dense walk operator U(t) that the oracle's row and column reads are
+checked against, and the psi route (characteristic polynomial, integer
+roots and idempotents) that the vertex-local spectra are checked against.
 """
 
 import functools
@@ -160,6 +161,23 @@ def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bo
         if min(same, opposite) > tol:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    time: float
+    entries: np.ndarray  # dense complex, unitary and symmetric
+
+
+def transition_matrix(g: Graph, t: float) -> TransitionMatrix:
+    """U(t) = sum_r exp(i t mu_r) F_r, accumulated from the eigenpairs."""
+    if not np.isfinite(t):
+        raise ValueError("time must be finite")
+    spec = graph_spectrum(g)
+    phases = np.exp(1j * t * spec.eigenvalues)
+    v = spec.eigenvectors
+    entries = (v * phases) @ v.T
+    return TransitionMatrix(time=float(t), entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atlas_connected
+from conftest import atlas_connected, transition_matrix
 from lafr import oracle
 from lafr.campaigns import (
     all_graph_masks,
@@ -56,7 +56,7 @@ def _oracle_sweep(g: Graph, decision) -> None:
     residual = oracle.revival_residual(g, a, b, tau, amp.alpha, amp.beta)
     assert residual <= 1e-9
     assert abs(abs(amp.alpha) ** 2 + abs(amp.beta) ** 2 - 1) <= 1e-12
-    u = oracle.transition_matrix(g, tau).entries
+    u = transition_matrix(g, tau).entries
     assert abs(u[a, a] - u[b, b]) <= 1e-9
 
 

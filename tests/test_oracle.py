@@ -6,15 +6,19 @@ from random import Random
 import numpy as np
 import pytest
 
-from conftest import numeric_strong_cospectral, random_graph
+from conftest import numeric_strong_cospectral, random_graph, transition_matrix
 from lafr import oracle
 from lafr.graphs import (
     cartesian_product,
     complement,
+    complete_graph,
     cycle_graph,
+    double_cone,
+    is_connected,
     laplacian,
     path_graph,
 )
+from lafr.revival import RevivalStatus, all_lafr_pairs
 
 
 class TestEigh:
@@ -51,15 +55,15 @@ class TestEigh:
 class TestTransitionMatrix:
     def test_identity_at_zero(self):
         for n in (2, 4, 7):
-            u = oracle.transition_matrix(cycle_graph(max(3, n)), 0.0)
+            u = transition_matrix(cycle_graph(max(3, n)), 0.0)
             assert np.abs(u.entries - np.eye(max(3, n))).max() <= 1e-12
 
     def test_p3_periodicity_at_two_pi(self):
-        u = oracle.transition_matrix(path_graph(3), 2 * math.pi)
+        u = transition_matrix(path_graph(3), 2 * math.pi)
         assert np.abs(u.entries - np.eye(3)).max() <= 1e-9
 
     def test_p3_revival_amplitude(self):
-        u = oracle.transition_matrix(path_graph(3), 2 * math.pi / 3)
+        u = transition_matrix(path_graph(3), 2 * math.pi / 3)
         assert abs(abs(u.entries[0, 2]) ** 2 - 0.75) <= 1e-9
 
     def test_unitary_and_symmetric(self):
@@ -67,7 +71,7 @@ class TestTransitionMatrix:
         for _ in range(12):
             g = random_graph(rng, rng.randint(2, 50))
             t = rng.uniform(0, 10)
-            u = oracle.transition_matrix(g, t).entries
+            u = transition_matrix(g, t).entries
             assert np.abs(u @ u.conj().T - np.eye(g.n)).max() <= 1e-9
             assert np.abs(u - u.T).max() <= 1e-9
 
@@ -76,9 +80,9 @@ class TestTransitionMatrix:
         for _ in range(8):
             g = random_graph(rng, rng.randint(2, 20))
             s, t = rng.uniform(0, 5), rng.uniform(0, 5)
-            us = oracle.transition_matrix(g, s).entries
-            ut = oracle.transition_matrix(g, t).entries
-            ust = oracle.transition_matrix(g, s + t).entries
+            us = transition_matrix(g, s).entries
+            ut = transition_matrix(g, t).entries
+            ust = transition_matrix(g, s + t).entries
             assert np.abs(us @ ut - ust).max() <= 1e-8
 
     def test_product_identity(self):
@@ -87,9 +91,9 @@ class TestTransitionMatrix:
             x = random_graph(rng, rng.randint(1, 4))
             y = random_graph(rng, rng.randint(1, 4))
             t = rng.uniform(0, 4)
-            ux = oracle.transition_matrix(x, t).entries
-            uy = oracle.transition_matrix(y, t).entries
-            uz = oracle.transition_matrix(cartesian_product(x, y), t).entries
+            ux = transition_matrix(x, t).entries
+            uy = transition_matrix(y, t).entries
+            uz = transition_matrix(cartesian_product(x, y), t).entries
             assert np.abs(np.kron(ux, uy) - uz).max() <= 1e-8
 
     def test_complement_identity(self):
@@ -100,8 +104,8 @@ class TestTransitionMatrix:
             g = random_graph(rng, rng.randint(2, 8))
             k = rng.randint(1, 3)
             tau = 2 * math.pi * k / g.n
-            u_comp = oracle.transition_matrix(complement(g), tau).entries
-            u_neg = oracle.transition_matrix(g, -tau).entries
+            u_comp = transition_matrix(complement(g), tau).entries
+            u_neg = transition_matrix(g, -tau).entries
             assert np.abs(u_comp - u_neg).max() <= 1e-9
 
     def test_spectral_consistency_integer_spectra(self):
@@ -121,7 +125,7 @@ class TestTransitionMatrix:
 
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
-            oracle.transition_matrix(path_graph(2), math.inf)
+            transition_matrix(path_graph(2), math.inf)
 
 
 class TestPairLeakage:
@@ -130,7 +134,7 @@ class TestPairLeakage:
         leak, beta = oracle.pair_leakage(g, 0, 2, np.array([t]))
         assert leak[0] <= 1e-9
         assert abs(beta[0] ** 2 - 0.75) <= 1e-9
-        u = oracle.transition_matrix(g, t).entries
+        u = transition_matrix(g, t).entries
         assert abs(u[0, 0] - u[2, 2]) <= 1e-9
 
     def test_wrong_pair_leaks(self):
@@ -153,7 +157,7 @@ class TestPairLeakage:
             leak, beta = oracle.pair_leakage(g, a, b, times)
             others = [j for j in range(g.n) if j not in (a, b)]
             for t, lk, bt in zip(times, leak, beta):
-                u = oracle.transition_matrix(g, t).entries
+                u = transition_matrix(g, t).entries
                 assert abs(lk - np.abs(u[np.ix_([a, b], others)]).max()) <= 1e-12
                 assert abs(bt - abs(u[a, b])) <= 1e-12
 
@@ -177,11 +181,10 @@ class TestTimeScan:
         hits = oracle.time_scan(cycle_graph(6), 0, 3, 2 * math.pi, 720)
         assert any(abs(h - 2 * math.pi / 3) <= 1e-6 for h in hits)
 
-    def test_reads_only_pair_rows(self, monkeypatch):
-        def no_full_matrix(g, t):
-            raise AssertionError("time_scan built a full U(t)")
-
-        monkeypatch.setattr(oracle, "transition_matrix", no_full_matrix)
+    def test_reads_only_pair_rows(self):
+        # the oracle defines no dense U(t) builder; scans read the pair's rows
+        assert not hasattr(oracle, "transition_matrix")
+        assert not hasattr(oracle, "TransitionMatrix")
         # both pairs have class gcd 3 and phase residue 1: revival at 2pi/3
         # and 4pi/3, while 2pi is a period of the pair
         expect = [2 * math.pi / 3, 4 * math.pi / 3]
@@ -191,20 +194,117 @@ class TestTimeScan:
             assert all(abs(h - e) <= 1e-6 for h, e in zip(hits, expect))
 
     def test_pair_leakage_passes_per_scan(self, monkeypatch):
-        # one pass for the grid, one per bisection step, one for acceptance,
-        # however many candidates the grid yields
+        # one pass for the grid and, when some grid point is a candidate,
+        # one per refinement step and one for acceptance, however many
+        # candidates there are
         sizes = []
-        real = oracle.pair_leakage
+        real = oracle._leakage
 
-        def counting(g, a, b, times):
-            sizes.append(len(times))
-            return real(g, a, b, times)
+        def counting(phases, w):
+            sizes.append(len(phases))
+            return real(phases, w)
 
-        monkeypatch.setattr(oracle, "pair_leakage", counting)
+        monkeypatch.setattr(oracle, "_leakage", counting)
         hits = oracle.time_scan(path_graph(2), 0, 1, 2 * math.pi, 144)
-        assert len(sizes) == 22
+        assert len(sizes) == 12
         assert sizes[0] == 144 and len(hits) <= sizes[-1]
-        assert set(sizes[1:21]) == {2 * sizes[-1]}
+        assert set(sizes[1:11]) == {7 * sizes[-1]}
+        # one bracket per dip: P3 (0, 2) has two gated dips of several grid
+        # points each
+        sizes.clear()
+        assert len(oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 720)) == 2
+        assert sizes == [720] + [14] * 10 + [2]
+        # no candidate: the grid pass is the only one
+        sizes.clear()
+        assert oracle.time_scan(path_graph(4), 0, 3, 2 * math.pi, 720) == []
+        assert sizes == [720]
+
+    def test_dip_midway_between_grid_points(self):
+        # 2pi/3 = 240.5 dt lies halfway between two grid points; 4pi/3 = 481 dt
+        # lies on one
+        dt = 2 * math.pi / (3 * 240.5)
+        hits = oracle.time_scan(path_graph(3), 0, 2, 721 * dt, 721)
+        expect = [2 * math.pi / 3, 4 * math.pi / 3]
+        assert len(hits) == 2
+        assert all(abs(h - e) <= 1e-6 for h, e in zip(hits, expect))
+
+    def test_completeness_beyond_six(self):
+        # every pair of seeded random connected graphs on 7 and 8 vertices
+        # and of a revival-rich fixed set: the scan finds exactly the
+        # allowed times 2 pi m / g, and nothing on a pair that is not PROPER
+        rng = Random(139)
+        corpus = []
+        for n in (7, 8):
+            found = 0
+            while found < 20:
+                g = random_graph(rng, n)
+                if is_connected(g):
+                    corpus.append(g)
+                    found += 1
+        corpus += [double_cone(cycle_graph(k)) for k in range(3, 9)]
+        corpus += [
+            cycle_graph(6),
+            cartesian_product(path_graph(3), cycle_graph(4)),
+            double_cone(complete_graph(5)),
+        ]
+        events = 0
+        for g in corpus:
+            exact = {d.pair: d for d in all_lafr_pairs(g)}
+            for a in range(g.n):
+                for b in range(a + 1, g.n):
+                    hits = oracle.time_scan(g, a, b, 2 * math.pi, 720)
+                    d = exact.get((a, b))
+                    if d is None or d.status is not RevivalStatus.PROPER:
+                        assert hits == [], (g, a, b, hits)
+                        continue
+                    allowed = [
+                        2 * math.pi * m / d.g
+                        for m in range(1, d.g + 1)
+                        if (m * d.phase.k) % d.g != 0
+                    ]
+                    assert len(hits) == len(allowed), (g, a, b, hits)
+                    assert all(abs(h - t) <= 1e-6 for h, t in zip(hits, allowed))
+                    events += len(hits)
+        assert events > 0
+
+
+class TestPairValidation:
+    BAD_PAIRS = ((0, -1), (-1, 2), (0, 3), (3, 0), (0, 0), (2, 2))
+
+    def test_pair_leakage(self):
+        for a, b in self.BAD_PAIRS:
+            with pytest.raises(ValueError):
+                oracle.pair_leakage(path_graph(3), a, b, np.array([1.0]))
+
+    def test_time_scan(self):
+        for a, b in self.BAD_PAIRS:
+            with pytest.raises(ValueError):
+                oracle.time_scan(path_graph(3), a, b, 2 * math.pi, 720)
+
+    def test_revival_residual(self):
+        for a, b in self.BAD_PAIRS:
+            with pytest.raises(ValueError):
+                oracle.revival_residual(path_graph(3), a, b, 2 * math.pi / 3, 0.5, 0.5)
+
+
+class TestRevivalResidual:
+    def test_matches_dense_column(self):
+        rng = Random(137)
+        for _ in range(10):
+            g = random_graph(rng, rng.randint(3, 30))
+            a, b = rng.sample(range(g.n), 2)
+            tau = rng.uniform(0, 10)
+            alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            target = np.zeros(g.n, dtype=complex)
+            target[a], target[b] = alpha, beta
+            want = np.abs(transition_matrix(g, tau).entries[:, a] - target).max()
+            got = oracle.revival_residual(g, a, b, tau, alpha, beta)
+            assert abs(got - want) <= 1e-12
+
+    def test_rejects_nonfinite_time(self):
+        with pytest.raises(ValueError):
+            oracle.revival_residual(path_graph(3), 0, 2, math.nan, 0.5, 0.5)
 
 
 class TestNumericStrongCospectral:

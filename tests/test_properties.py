@@ -23,6 +23,7 @@ from conftest import (
     signed_incidence,
     support_product_divides_trees,
     support_size,
+    transition_matrix,
 )
 from lafr import oracle
 from lafr.errors import NotApplicableError
@@ -346,7 +347,7 @@ class TestRevivalInvariants:
                     <= 1e-9
                 )
                 assert abs(amp.beta) >= 1e-9
-                u = oracle.transition_matrix(g, tau).entries
+                u = transition_matrix(g, tau).entries
                 assert abs(u[a, a] - u[b, b]) <= 1e-9
 
     def test_periodicity_times(self, corpus_pairs):
@@ -356,7 +357,7 @@ class TestRevivalInvariants:
                 per = is_periodic(g, v)
                 if not per.periodic or per.big_g is None:
                     continue
-                u = oracle.transition_matrix(g, 2 * math.pi / per.big_g).entries
+                u = transition_matrix(g, 2 * math.pi / per.big_g).entries
                 col = np.abs(u[:, v])
                 col[v] = 0
                 assert col.max() <= 1e-9
