@@ -289,7 +289,7 @@ def campaign_constructions() -> CampaignResult:
                 and oracle.revival_residual(
                     g, 0, 1, 2 * pi / n, amp.alpha, amp.beta
                 )
-                <= 1e-9
+                <= oracle.RESIDUAL_TOL
             )
             case(f"double-cone {to_graph6(g)}", ok, orbit)
     details["double_cones_checked"] = checked

@@ -52,7 +52,7 @@ _NAME_FAMILIES = {
     "O": "empty",
     "E": "empty",
 }
-_MAX_N = 500  # largest vertex count taken for exact work (analyze --max-n default)
+_MAX_N = 500  # largest vertex count taken by analyze, periodic and construct
 
 
 def graph_from_token(token: str) -> Graph:
@@ -69,27 +69,27 @@ def _order(token: str) -> int:
     return int(m.group(2)) if m else parse_graph6(token).n
 
 
-def _check_order(n: int, max_n: int = _MAX_N) -> None:
-    if n > max_n:
-        raise ValueError(f"graph too large (n={n} > {max_n})")
+def _check_order(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"graph too large (n={n} > {_MAX_N})")
 
 
-def _load_graph(args, max_n: int) -> Graph:
-    """The input graph, at most max_n vertices; a shorthand's n is read unbuilt."""
+def _load_graph(args) -> Graph:
+    """The input graph, at most _MAX_N vertices; a shorthand's n is read unbuilt."""
     if args.g6 is not None:
         if _NAME_PATTERN.match(args.g6):
-            _check_order(_order(args.g6), max_n)
+            _check_order(_order(args.g6))
         g = graph_from_token(args.g6)
     elif args.format == "edgelist":
         g = parse_edgelist(Path(args.file).read_text())
     else:
         g = parse_graph6((Path(args.file).read_text().strip().splitlines() or [""])[0])
-    _check_order(g.n, max_n)
+    _check_order(g.n)
     return g
 
 
 def _cmd_analyze(args) -> int:
-    g = _load_graph(args, args.max_n)
+    g = _load_graph(args)
     pairs = None
     if args.pairs:
         pairs = []
@@ -99,7 +99,7 @@ def _cmd_analyze(args) -> int:
             except ValueError:
                 raise ValueError(f"--pairs {spec!r}: expected two vertices a,b") from None
             pairs.append((a, b))
-    report = build_analysis_report(g, pairs=pairs, tol=args.tol)
+    report = build_analysis_report(g, pairs=pairs)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -108,10 +108,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    g = _load_graph(args, _MAX_N)
-    if not 0 <= args.vertex < g.n:
-        print("vertex out of range", file=sys.stderr)
-        return 2
+    g = _load_graph(args)
     print(format_periodicity(periodicity_entry(g, args.vertex)))
     return 0
 
@@ -198,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide these pairs explicitly (repeatable)",
     )
     p_an.add_argument("--json", action="store_true", help="emit JSON")
-    p_an.add_argument("--tol", type=float, default=1e-9,
-                      help="oracle verification tolerance")
-    p_an.add_argument("--max-n", type=int, default=_MAX_N,
-                      help="largest vertex count accepted for exact analysis")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_per = sub.add_parser("periodic", help="periodicity at one vertex")

@@ -74,6 +74,12 @@ def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(s) for s in nbrs)
 
 
+def check_vertices(g: Graph, *vertices: int) -> None:
+    """Raise ``ValueError`` unless ``vertices`` are distinct vertices of ``g``."""
+    if len(set(vertices)) < len(vertices) or not all(0 <= v < g.n for v in vertices):
+        raise ValueError(f"need distinct vertices in 0..{g.n - 1}, got {list(vertices)}")
+
+
 def laplacian(g: Graph) -> list[list[int]]:
     """Laplacian matrix: degree on the diagonal, -1 at edges, rows sum to 0."""
     m = [[0] * g.n for _ in range(g.n)]
@@ -278,10 +284,7 @@ def spanning_tree_count(g: Graph, deleted_vertex: int = 0) -> int:
     Exact; 0 precisely when the graph is disconnected (for n >= 2), and
     independent of which vertex is deleted.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if not 0 <= deleted_vertex < g.n:
-        raise ValueError("vertex out of range")
+    check_vertices(g, deleted_vertex)
     lap = laplacian(g)
     minor = [
         [lap[i][j] for j in range(g.n) if j != deleted_vertex]
@@ -293,8 +296,7 @@ def spanning_tree_count(g: Graph, deleted_vertex: int = 0) -> int:
 
 def distances(g: Graph, a: int) -> list[int | None]:
     """BFS hop distances from ``a``; ``None`` marks unreachable vertices."""
-    if not 0 <= a < g.n:
-        raise ValueError("vertex out of range")
+    check_vertices(g, a)
     dist: list[int | None] = [None] * g.n
     dist[a] = 0
     adj = adjacency_sets(g)

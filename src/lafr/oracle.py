@@ -7,7 +7,9 @@ pair's two rows of the walk operator U(t) = exp(+i t L) over a vector of
 times, grid time scans, and the residual of one column of U(t).  No
 dense U(t) is ever built: a scan precomputes the pair's eigenvector
 products once, reads U(t) only through the pair's rows and refines one
-bracket per leakage dip, and the residual reads U(t) e_a alone.
+bracket per leakage dip, and the residual reads U(t) e_a alone.  Pairs
+pass the one vertex guard, :func:`lafr.graphs.check_vertices`, and a
+revival counts as verified when its residual is at most ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, laplacian
+from .graphs import Graph, check_vertices, laplacian
 
+RESIDUAL_TOL = 1e-9  # largest residual of a verified revival
 _EIGH_MAX_N = 2000
 _SYMMETRY_TOL = 1e-12
 _LEAK_TOL = 1e-7  # largest leakage of a reported revival time
@@ -56,11 +59,6 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return eigh(laplacian(g))
 
 
-def _check_pair(g: Graph, a: int, b: int) -> None:
-    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-        raise ValueError("need two distinct vertices in range")
-
-
 def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and the pair's products W of shape (n, 2n - 3).
 
@@ -68,7 +66,7 @@ def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     of U(t): first U(t)[a, b], then U(t)[a, j] and U(t)[b, j] for every
     other vertex j.
     """
-    _check_pair(g, a, b)
+    check_vertices(g, a, b)
     spec = graph_spectrum(g)
     v = spec.eigenvectors
     others = [j for j in range(g.n) if j not in (a, b)]
@@ -145,6 +143,8 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
     """
     if steps < 1:
         raise ValueError("need at least one grid step")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"scan length must be finite and positive, got {t_max!r}")
     evals, w = _pair_rows(g, a, b)
     dt = t_max / steps
     times = dt * np.arange(1, steps + 1)
@@ -178,7 +178,7 @@ def revival_residual(
     """
     if not np.isfinite(tau):
         raise ValueError("time must be finite")
-    _check_pair(g, a, b)
+    check_vertices(g, a, b)
     spec = graph_spectrum(g)
     v = spec.eigenvectors
     column = v @ (np.exp(1j * tau * spec.eigenvalues) * v[a])

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import inf, pi
+from math import pi
 
 from . import __version__, oracle
-from .graphs import Graph, to_graph6
+from .graphs import Graph, check_vertices, to_graph6
 from .revival import (
     RevivalDecision,
     RevivalStatus,
@@ -36,7 +36,7 @@ def _complex_dict(z: complex | None) -> dict | None:
     return {"re": z.real, "im": z.imag}
 
 
-def _decision_dict(g: Graph, d: RevivalDecision, tol: float) -> dict:
+def _decision_dict(g: Graph, d: RevivalDecision) -> dict:
     alpha = beta = None
     residual = None
     verified = None
@@ -45,7 +45,7 @@ def _decision_dict(g: Graph, d: RevivalDecision, tol: float) -> dict:
         alpha, beta = amp.alpha, amp.beta
         tau = pi * d.earliest_time[0] / d.earliest_time[1]
         residual = oracle.revival_residual(g, d.pair[0], d.pair[1], tau, alpha, beta)
-        verified = residual <= tol
+        verified = residual <= oracle.RESIDUAL_TOL
     return {
         "pair": list(d.pair),
         "status": d.status.value,
@@ -75,20 +75,17 @@ def periodicity_entry(g: Graph, v: int) -> dict:
     }
 
 
-def build_analysis_report(
-    g: Graph,
-    pairs: list[tuple[int, int]] | None = None,
-    tol: float = 1e-9,
-) -> dict:
+def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) -> dict:
     """Full analysis of one graph.
 
     Without explicit ``pairs`` the decisions cover every pair that is
     proper or strongly cospectral; with ``pairs`` the listed pairs are
-    decided regardless of outcome.  ``tol`` bounds the oracle residual of a
-    verified PROPER pair and must be finite and positive.
+    decided regardless of outcome, and each must be two distinct vertices
+    of ``g``.  A PROPER pair is verified when its oracle residual is at
+    most ``oracle.RESIDUAL_TOL``.
     """
-    if not 0 < tol < inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    for a, b in pairs or ():
+        check_vertices(g, a, b)
     start = time.perf_counter()
     decisions: list[dict] = []
     note = None
@@ -103,9 +100,9 @@ def build_analysis_report(
         )
     elif pairs is not None:
         for a, b in pairs:
-            decisions.append(_decision_dict(g, decide_proper_lafr(g, a, b), tol))
+            decisions.append(_decision_dict(g, decide_proper_lafr(g, a, b)))
     elif g.n >= 3:
-        decisions = [_decision_dict(g, d, tol) for d in all_lafr_pairs(g)]
+        decisions = [_decision_dict(g, d) for d in all_lafr_pairs(g)]
     decisions.sort(key=lambda d: d["pair"])
     report = {
         "graph": {"graph6": to_graph6(g), "n": g.n, "edges": g.num_edges},

@@ -2,14 +2,15 @@
 
 The central routine classifies a vertex pair as admitting proper
 fractional revival, being strongly cospectral but merely periodic, or
-failing one of the structural requirements.  One classifier turns a
-pair's eigenvalue partition into a decision, both for an explicit pair
-and for the all-pairs scan, which classifies only pairs whose vertices
-share a bucket of certified, sign-scaled eigenprojection columns (see
-:mod:`lafr.spectral`).  Times are exact rational multiples of pi throughout,
-and no verdict here touches floating point: the complement-transfer checker
-decides the identity from its two hypotheses in integers, and the numeric
-oracle only cross-checks it in the tests.
+failing one of the structural requirements.  Every pair, explicit or
+from the all-pairs scan, is decided by :func:`decide_proper_lafr` alone:
+vertex guard, all-integer supports, strong cospectrality, then the class
+gcd of the eigenvalue partition.  The scan decides only pairs whose
+vertices share a bucket of certified, sign-scaled eigenprojection columns
+(see :mod:`lafr.spectral`).  Times are exact rational multiples of pi
+throughout, and no verdict here touches floating point: the
+complement-transfer checker decides the identity from its two hypotheses
+in integers, and the numeric oracle only cross-checks it in the tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -27,7 +28,15 @@ from itertools import combinations
 from math import gcd
 
 from .errors import NotApplicableError, SpecialSmallGraphError
-from .graphs import Graph, cartesian_product, complement, is_connected, join, laplacian
+from .graphs import (
+    Graph,
+    cartesian_product,
+    check_vertices,
+    complement,
+    is_connected,
+    join,
+    laplacian,
+)
 from .spectral import PairPartition, is_periodic, strong_cospectral, vertex_spectra
 
 PiRational = tuple[int, int]  # (p, q) in lowest terms, meaning (p/q) * pi
@@ -144,18 +153,11 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
             "the characterization needs at least three vertices; "
             "see two_vertex_time_class for the single-edge graph"
         )
-    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-        raise ValueError("need two distinct vertices in range")
+    check_vertices(g, a, b)
     pair = (a, b) if a < b else (b, a)
     if vertex_spectra(g)[a] is None or vertex_spectra(g)[b] is None:
         return RevivalDecision(RevivalStatus.NON_INTEGER_SUPPORT, pair)
-    return _classify(pair, strong_cospectral(g, *pair))
-
-
-def _classify(pair: tuple[int, int], part: PairPartition | None) -> RevivalDecision:
-    """Decision for a pair with all-integer supports from its partition,
-    ``None`` when the pair is not strongly cospectral; see
-    :func:`decide_proper_lafr`."""
+    part = strong_cospectral(g, *pair)
     if part is None:
         return RevivalDecision(RevivalStatus.NOT_STRONGLY_COSPECTRAL, pair)
     gg = class_gcd(part)
@@ -181,7 +183,7 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
 
     Vertices with certified all-integer supports are bucketed on their
     support and sign-scaled eigenprojection columns, and only pairs inside a
-    bucket are classified: two vertices are strongly cospectral exactly when
+    bucket are decided: two vertices are strongly cospectral exactly when
     they share a bucket.  An isolated edge follows the two-vertex schedule
     and is not listed.
     """
@@ -193,7 +195,7 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
             buckets.setdefault(spec.key, []).append(v)
     skip = set(_isolated_edges(g))
     pairs = sorted(p for vs in buckets.values() for p in combinations(vs, 2))
-    return [_classify(p, strong_cospectral(g, *p)) for p in pairs if p not in skip]
+    return [decide_proper_lafr(g, *p) for p in pairs if p not in skip]
 
 
 def earliest_common_lafr_time(g: Graph) -> PiRational | None:
@@ -298,13 +300,11 @@ def check_cartesian_product_rule(
     two sides agree.  Pairs that straddle fibers belong to the mirrored
     statement with the factors swapped, so they are not counted here.
     """
-    if Fraction(tau_num, tau_den) <= 0:
-        raise ValueError("time must be positive")
-    left = _product_fiber_proper_at(x, y, tau_num, tau_den)
+    # The factor checks run first: they reject a non-positive time.
     right = has_periodic_vertex_at(x, tau_num, tau_den) and has_proper_lafr_at(
         y, tau_num, tau_den
     )
-    return left == right
+    return _product_fiber_proper_at(x, y, tau_num, tau_den) == right
 
 
 def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:

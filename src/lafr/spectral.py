@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NonIntegerSupportError
 from .exactalg import minimal_polynomial, poly_eval, poly_from_roots
-from .graphs import Graph, adjacency_sets, laplacian
+from .graphs import Graph, adjacency_sets, check_vertices, laplacian
 
 if TYPE_CHECKING:
     import numpy as np
@@ -208,12 +208,6 @@ def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
         p = _next_prime(p)
 
 
-def _spectrum(g: Graph, a: int) -> VertexSpectrum | None:
-    if not 0 <= a < g.n:
-        raise ValueError("vertex out of range")
-    return vertex_spectra(g)[a]
-
-
 def _moments(g: Graph, a: int) -> list[int]:
     """(L^k)_aa for k < 2n, in integers: x_k . x_k and x_k . x_(k+1) for
     x_k = L^k e_a, as L is symmetric."""
@@ -229,7 +223,8 @@ def _moments(g: Graph, a: int) -> list[int]:
 def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
     """The integer part of the support of vertex ``a``, and whether it is
     the whole support."""
-    spec = _spectrum(g, a)
+    check_vertices(g, a)
+    spec = vertex_spectra(g)[a]
     if spec is not None:
         return EigenvalueSupport(a, frozenset(spec.support), True)
     m_a = minimal_polynomial(_moments(g, a))
@@ -244,7 +239,8 @@ def is_periodic(g: Graph, a: int) -> Periodicity:
     for a support of {0} alone (an isolated vertex), where the walk fixes
     the vertex at every time.
     """
-    spec = _spectrum(g, a)
+    check_vertices(g, a)
+    spec = vertex_spectra(g)[a]
     if spec is None:
         return Periodicity(a, False, None)
     return Periodicity(a, True, gcd(*spec.support) or None)
@@ -259,8 +255,7 @@ def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     supports must be all-integer, otherwise the exact test is not
     attempted.
     """
-    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-        raise ValueError("strong cospectrality needs two distinct vertices in range")
+    check_vertices(g, a, b)
     spec_a, spec_b = vertex_spectra(g)[a], vertex_spectra(g)[b]
     for v, spec in ((a, spec_a), (b, spec_b)):
         if spec is None:

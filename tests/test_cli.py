@@ -114,15 +114,6 @@ class TestAnalyze:
     def test_usage_error(self):
         assert main(["analyze"]) == 2
 
-    def test_tolerance_must_be_finite_and_positive(self, capsys):
-        for tol in ("nan", "0", "-1e-9", "inf", "-inf"):
-            assert main(["analyze", "--g6", "P3", "--json", f"--tol={tol}"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and "tolerance" in captured.err
-        assert main(["analyze", "--g6", "P3", "--json", "--tol", "1e-12"]) == 0
-        [d] = json.loads(capsys.readouterr().out)["decisions"]
-        assert d["oracle_verified"] is True
-
     def test_json_round_trip(self):
         report = build_analysis_report(cycle_graph(6))
         assert json.loads(json.dumps(report)) == report
@@ -131,6 +122,14 @@ class TestAnalyze:
         assert main(["analyze", "--g6", "A_", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "note" in report and "pi/2" in report["note"]
+        assert main(["analyze", "--g6", "A_", "--json", "--pairs", "0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["note"] == report["note"]
+
+    def test_two_vertex_bad_pairs(self, capsys):
+        for spec in ("0,7", "0,0"):
+            assert main(["analyze", "--g6", "A_", "--pairs", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "distinct vertices" in captured.err
 
 
 class TestSizeLimit:
@@ -153,11 +152,16 @@ class TestSizeLimit:
         big = to_graph6(empty_graph(501))
         assert main(["periodic", "--g6", big, "--vertex", "0"]) == 2
         assert "graph too large" in capsys.readouterr().err
+        big_el = tmp_path / "o501.el"
+        big_el.write_text("501\n")
+        assert main(["analyze", "--file", str(big_el), "--format", "edgelist"]) == 2
+        assert "graph too large (n=501 > 500)" in capsys.readouterr().err
         el = tmp_path / "p3.el"
         el.write_text("3\n0 1\n1 2\n")
-        assert main(["analyze", "--file", str(el), "--format", "edgelist", "--max-n", "2"]) == 2
-        assert "graph too large (n=3 > 2)" in capsys.readouterr().err
-        assert main(["analyze", "--file", str(el), "--format", "edgelist", "--max-n", "3"]) == 0
+        assert main(["analyze", "--file", str(el), "--format", "edgelist"]) == 0
+        capsys.readouterr()
+        for option in (["--max-n", "3"], ["--tol", "1e-9"]):
+            assert main(["analyze", "--file", str(el), "--format", "edgelist", *option]) == 2
 
 
 class TestPeriodic:

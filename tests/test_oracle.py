@@ -10,15 +10,21 @@ from conftest import numeric_strong_cospectral, random_graph, transition_matrix
 from lafr import oracle
 from lafr.graphs import (
     cartesian_product,
+    check_vertices,
     complement,
     complete_graph,
     cycle_graph,
+    distances,
     double_cone,
+    empty_graph,
     is_connected,
     laplacian,
     path_graph,
+    spanning_tree_count,
 )
-from lafr.revival import RevivalStatus, all_lafr_pairs
+from lafr.reporting import build_analysis_report
+from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
+from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
 
 
 class TestEigh:
@@ -181,6 +187,12 @@ class TestTimeScan:
         hits = oracle.time_scan(cycle_graph(6), 0, 3, 2 * math.pi, 720)
         assert any(abs(h - 2 * math.pi / 3) <= 1e-6 for h in hits)
 
+    def test_rejects_bad_scan_length(self):
+        # P3's ends revive at 2 pi / 3: no t_max may turn that into "none"
+        for t_max in (-2 * math.pi, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scan length"):
+                oracle.time_scan(path_graph(3), 0, 2, t_max, 720)
+
     def test_reads_only_pair_rows(self):
         # the oracle defines no dense U(t) builder; scans read the pair's rows
         assert not hasattr(oracle, "transition_matrix")
@@ -269,7 +281,39 @@ class TestTimeScan:
 
 
 class TestPairValidation:
+    """Every public entry point that takes vertices rejects, through
+    ``check_vertices``, a vertex outside 0..n-1 or a repeated one."""
+
     BAD_PAIRS = ((0, -1), (-1, 2), (0, 3), (3, 0), (0, 0), (2, 2))
+
+    def test_check_vertices(self):
+        g = path_graph(3)
+        for ok in ((), (0,), (2,), (0, 2), (2, 0, 1)):
+            check_vertices(g, *ok)
+        for bad in ((-1,), (3,), *self.BAD_PAIRS, (0, 1, 0)):
+            with pytest.raises(ValueError, match="distinct vertices"):
+                check_vertices(g, *bad)
+        with pytest.raises(ValueError):
+            check_vertices(empty_graph(0), 0)
+
+    @pytest.mark.parametrize(
+        "fn", [eigenvalue_support, is_periodic, distances, spanning_tree_count]
+    )
+    def test_vertex_entry_points(self, fn):
+        for v in (-1, 3):
+            with pytest.raises(ValueError):
+                fn(path_graph(3), v)
+
+    @pytest.mark.parametrize("fn", [strong_cospectral, decide_proper_lafr])
+    def test_exact_pair_entry_points(self, fn):
+        for a, b in self.BAD_PAIRS:
+            with pytest.raises(ValueError):
+                fn(path_graph(3), a, b)
+
+    def test_analysis_report(self):
+        for pair in self.BAD_PAIRS:
+            with pytest.raises(ValueError):
+                build_analysis_report(path_graph(3), pairs=[(0, 2), pair])
 
     def test_pair_leakage(self):
         for a, b in self.BAD_PAIRS:
