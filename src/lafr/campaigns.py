@@ -4,7 +4,9 @@ Three corpora drive the campaigns: unlabeled free trees, the isomorphism
 classes on a small vertex count, built by vertex augmentation and certified
 by their orbits to cover every labeled graph, and a battery of constructions.
 The prime-order campaign and the battery's double cones decide each class
-once, exactly, on its least relabeling; no verdict touches floating point.
+once, exactly, on its least relabeling.  A mask is relabeled by one float64
+product of its bits with powers of two, exact below 2^53, so no verdict
+depends on rounding.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .graphs import (
     join,
     path_graph,
     sylvester_hadamard,
+    threshold_graph,
     to_graph6,
 )
 from .revival import (
@@ -93,13 +96,9 @@ def all_graph_masks(n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _relabel_tables(p: int) -> tuple[np.ndarray, ...]:
-    """One 256 x p! int32 table per byte of mask bits.
-
-    Row v of table k holds, for every permutation of the vertices, the
-    relabeled mask of the bits ``v << 8k``; distinct bits land on distinct
-    pairs, so a mask relabels to the OR of one row per byte.
-    """
+def _relabel_powers(p: int) -> np.ndarray:
+    """(pairs, p!) float64 table: entry (b, s) is 2^(the bit pair b moves to
+    under the s-th permutation of the vertices)."""
     pairs = pair_table(p)
     index = {pair: b for b, pair in enumerate(pairs)}
     dest = np.array(
@@ -108,20 +107,19 @@ def _relabel_tables(p: int) -> tuple[np.ndarray, ...]:
             for perm in permutations(range(p))
         ]
     )
-    bit_values = (1 << dest.astype(np.int64)).T  # (bits, p!); at p = 1 dest is empty, float
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    tables = []
-    for lo in range(0, len(pairs), 8):
-        byte = bit_values[lo : lo + 8]
-        tables.append((byte_bits[:, : len(byte)] @ byte).astype(np.int32))
-    return tuple(tables)
+    return np.exp2(dest.T)  # at p = 1, dest is one empty row and the table (0, 1)
 
 
 def relabelings(p: int, masks) -> np.ndarray:
-    """Every relabeling of each mask: one row of p! masks per mask."""
-    masks = np.asarray(masks, dtype=np.int64)
-    rows = [t[(masks >> 8 * k) & 0xFF] for k, t in enumerate(_relabel_tables(p))]
-    return functools.reduce(np.bitwise_or, rows, np.zeros((len(masks), 1), np.int32))
+    """Every relabeling of each mask: one row of p! masks per mask.
+
+    A row is the mask's 0/1 bit vector times the table of powers of two.
+    The product is exact: each entry sums distinct powers of two below
+    2^21, and float64 holds every integer below 2^53.
+    """
+    powers = _relabel_powers(p)
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(len(powers))) & 1
+    return (bits @ powers).astype(np.int32)
 
 
 def canonical_masks(p: int, masks) -> np.ndarray:
@@ -329,7 +327,7 @@ def campaign_constructions() -> CampaignResult:
     details["extension_cases"] = len(extension_cases)
 
     # threshold instance: initial edgeless pair joined to a 4-clique
-    thr = double_cone(complete_graph(4))
+    thr = threshold_graph([2, 4])
     d = decide_proper_lafr(thr, 0, 1)
     tau = Fraction(*d.earliest_time) if d.earliest_time else None
     details["threshold_ok"] = case(
@@ -337,7 +335,7 @@ def campaign_constructions() -> CampaignResult:
         d.status is RevivalStatus.PROPER
         and tau == Fraction(1, 3)
         and tau.denominator not in (1, 2)  # not an integer multiple of pi/2
-        and Fraction(6) * tau % 2 == 0,  # (m1 + m2) * tau lands on the 2*pi grid
+        and thr.n * tau % 2 == 0,  # (m1 + m2) * tau lands on the 2*pi grid
     )
 
     for side in (2, 4):

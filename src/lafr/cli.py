@@ -27,6 +27,7 @@ from .graphs import (
     complement,
     disjoint_union,
     double_cone,
+    graph6_order,
     hadamard_graph,
     join,
     parse_edgelist,
@@ -64,9 +65,9 @@ def graph_from_token(token: str) -> Graph:
 
 
 def _order(token: str) -> int:
-    """Vertex count of a shorthand or graph6 operand; a shorthand's n is read unbuilt."""
+    """Vertex count of a shorthand or graph6 operand, read without building the graph."""
     m = _NAME_PATTERN.match(token)
-    return int(m.group(2)) if m else parse_graph6(token).n
+    return int(m.group(2)) if m else graph6_order(token)
 
 
 def _check_order(n: int) -> None:
@@ -75,17 +76,18 @@ def _check_order(n: int) -> None:
 
 
 def _load_graph(args) -> Graph:
-    """The input graph, at most _MAX_N vertices; a shorthand's n is read unbuilt."""
+    """The input graph, at most _MAX_N vertices; only an edge list is sized once parsed."""
     if args.g6 is not None:
-        if _NAME_PATTERN.match(args.g6):
-            _check_order(_order(args.g6))
-        g = graph_from_token(args.g6)
-    elif args.format == "edgelist":
-        g = parse_edgelist(Path(args.file).read_text())
-    else:
-        g = parse_graph6((Path(args.file).read_text().strip().splitlines() or [""])[0])
-    _check_order(g.n)
-    return g
+        _check_order(_order(args.g6))
+        return graph_from_token(args.g6)
+    text = Path(args.file).read_text()
+    if args.format == "edgelist":
+        g = parse_edgelist(text)
+        _check_order(g.n)
+        return g
+    line = (text.strip().splitlines() or [""])[0]
+    _check_order(graph6_order(line))
+    return parse_graph6(line)
 
 
 def _cmd_analyze(args) -> int:
@@ -135,13 +137,10 @@ def _cmd_construct(args) -> int:
         elif name == "threshold":
             parts = [int(x) for x in params[0].split(",")]
             n, build = sum(parts), lambda: threshold_graph(parts)
-        elif name == "hadamard":
+        else:  # hadamard; argparse's choices admit no other name
             k = args.sylvester  # sylvester_hadamard rejects k outside 0..12
             n = 4 * 2**k if 0 <= k <= 12 else 0
             build = lambda: hadamard_graph(sylvester_hadamard(k))
-        else:
-            print(f"unknown constructor {name!r}", file=sys.stderr)
-            return 2
         _check_order(n)
         g = build()
     except (IndexError, ValueError) as exc:

@@ -9,12 +9,17 @@ pure functions.
 from __future__ import annotations
 
 import functools
+import re
 from collections import deque
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
 
-_G6_MAX_N = 68719476735  # largest vertex count encodable in a graph6 header
+_G6_PREFIX = ">>graph6<<"
+_G6_OUTSIDE = re.compile(r"[^?-~]")  # any byte outside the graph6 alphabet 63..126
+# header forms, indexed by their leading "~" count: (largest n, bytes of n)
+_G6_FORMS = ((62, 1), (258047, 3), (68719476735, 6))
+_G6_BITS = {c + 63: f"{c:06b}" for c in range(64)}  # graph6 byte -> its six bits
 
 
 class GraphFormatError(ValueError):
@@ -338,43 +343,39 @@ def is_double_cone(g: Graph) -> tuple[int, int] | None:
 # graph6 and edge-list formats
 
 
-def _g6_validate(data: str) -> None:
-    for i, ch in enumerate(data):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise GraphFormatError(
-                f"character {ch!r} outside the graph6 alphabet", offset=i
-            )
+def _g6_header(data: str) -> tuple[int, int]:
+    """``(n, offset of the bit vector)`` from a prefix-free graph6 payload.
+
+    The one copy of the header rules: every byte lies in the alphabet 63..126,
+    and n is one byte up to 62, ``~`` plus 3 bytes up to 258047, or ``~~``
+    plus 6 bytes above that, each byte six bits of n, high bits first.
+    """
+    if not data:
+        raise GraphFormatError("empty graph6 payload", offset=0)
+    bad = _G6_OUTSIDE.search(data)
+    if bad:
+        raise GraphFormatError(
+            f"character {bad.group()!r} outside the graph6 alphabet", offset=bad.start()
+        )
+    tildes = 2 if data.startswith("~~") else 1 if data[0] == "~" else 0
+    body_start = tildes + _G6_FORMS[tildes][1]
+    if len(data) < body_start:
+        raise GraphFormatError("truncated header", offset=len(data))
+    n = 0
+    for ch in data[tildes:body_start]:
+        n = (n << 6) | (ord(ch) - 63)
+    return n, body_start
+
+
+def graph6_order(text: str) -> int:
+    """Vertex count of a graph6 string, read from its header alone."""
+    return _g6_header(text.strip().removeprefix(_G6_PREFIX))[0]
 
 
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (optional ``>>graph6<<`` prefix allowed)."""
-    data = text.strip()
-    if data.startswith(">>graph6<<"):
-        data = data[len(">>graph6<<"):]
-    if not data:
-        raise GraphFormatError("empty graph6 payload", offset=0)
-    _g6_validate(data)
-
-    # header: one byte for n <= 62, 126 + 3 bytes, or 126 126 + 6 bytes
-    if data[0] != "~":
-        n = ord(data[0]) - 63
-        body_start = 1
-    elif len(data) >= 2 and data[1] != "~":
-        if len(data) < 4:
-            raise GraphFormatError("truncated extended header", offset=len(data))
-        n = 0
-        for ch in data[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body_start = 4
-    else:
-        if len(data) < 8:
-            raise GraphFormatError("truncated long header", offset=len(data))
-        n = 0
-        for ch in data[2:8]:
-            n = (n << 6) | (ord(ch) - 63)
-        body_start = 8
-
+    data = text.strip().removeprefix(_G6_PREFIX)
+    n, body_start = _g6_header(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[body_start:]
@@ -385,43 +386,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise GraphFormatError("trailing bytes after bit vector", offset=body_start + nbytes)
-
-    edges = []
-    bit_index = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = ord(body[bit_index // 6]) - 63
-            if (byte >> (5 - bit_index % 6)) & 1:
-                edges.append((i, j))
-            bit_index += 1
-    return Graph.from_edges(n, edges)
+    # one lazy pass: the bits in column order (0,1), (0,2), (1,2), (0,3), ...
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    bits = body.translate(_G6_BITS)
+    return Graph.from_edges(n, (pair for pair, bit in zip(pairs, bits) if bit == "1"))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode as graph6; round-trips through :func:`parse_graph6`."""
     n = g.n
-    if n > _G6_MAX_N:
-        raise ValueError("graph too large for graph6")
-    if n <= 62:
-        header = chr(n + 63)
-    elif n <= 258047:
-        header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    for tildes, (most, width) in enumerate(_G6_FORMS):
+        if n <= most:
+            break
     else:
-        header = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k:k + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return header + "".join(chars)
+        raise ValueError("graph too large for graph6")
+    header = "~" * tildes + "".join(chr(((n >> 6 * k) & 63) + 63) for k in reversed(range(width)))
+    bits = "".join("1" if (i, j) in g.edges else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -31,6 +31,7 @@ from lafr.graphs import (
     is_connected,
     is_double_cone,
     parse_graph6,
+    threshold_graph,
     to_graph6,
 )
 from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
@@ -255,19 +256,28 @@ class TestConstructionCampaign:
 
     def test_one_double_cone_per_class(self, monkeypatch):
         bases = []
+        thresholds = []
 
         def recording_double_cone(y):
             bases.append(y)
             return double_cone(y)
 
+        def recording_threshold_graph(ms):
+            thresholds.append(ms)
+            return threshold_graph(ms)
+
         monkeypatch.setattr(campaigns, "double_cone", recording_double_cone)
+        monkeypatch.setattr(campaigns, "threshold_graph", recording_threshold_graph)
         result = campaign_constructions()
         assert result.passed
         # 52 classes on 1..5 vertices (A000088) stand for 1099 labeled graphs;
-        # the join extension and the threshold instance add DC(K4) twice
+        # the join extension adds DC(K4), and the threshold instance is built
+        # by its own constructor
         assert result.details["double_cones_checked"] == 1099
         sizes = [1] + [2] * 2 + [3] * 4 + [4] * 11 + [5] * 34
-        assert [y.n for y in bases] == sizes + [4, 4]
+        assert [y.n for y in bases] == sizes + [4]
+        assert thresholds == [[2, 4]]
+        assert threshold_graph([2, 4]) == double_cone(complete_graph(4))
 
 
 def _failing_decision(*args):
@@ -302,6 +312,11 @@ BATTERY_FAILURES = {
         (campaigns, _failing_decision),
         ["double-cone"] * 52
         + ["threshold 2,4", "hadamard n=2 revival", "hadamard n=4 revival"],
+    ),
+    "threshold_graph": (
+        # another threshold graph: DC(K5) revives at 2pi/7, not at pi/3
+        (campaigns, lambda ms: threshold_graph([2, 5])),
+        ["threshold 2,4"],
     ),
     "hadamard_partition_check": (
         (campaigns, lambda *args: False),

@@ -7,8 +7,11 @@ import pytest
 from lafr import campaigns, cli
 from lafr.cli import graph_from_token, main
 from lafr.graphs import (
+    cartesian_product,
+    complement,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     double_cone,
     empty_graph,
     parse_graph6,
@@ -125,6 +128,23 @@ class TestAnalyze:
         assert main(["analyze", "--g6", "A_", "--json", "--pairs", "0,1"]) == 0
         assert json.loads(capsys.readouterr().out)["note"] == report["note"]
 
+    def test_text_two_vertex_note(self, capsys):
+        assert main(["analyze", "--g6", "A_"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("note: two-vertex graph")
+        assert lines[2] == "pairs: none"
+
+    def test_text_periodic_only(self, capsys):
+        ladder = cartesian_product(path_graph(2), path_graph(3))
+        assert main(["analyze", "--g6", to_graph6(ladder)]) == 0
+        assert "  (0,5) PERIODIC_ONLY  g=1" in capsys.readouterr().out.splitlines()
+
+    def test_text_isolated_vertex(self, capsys):
+        g = disjoint_union(path_graph(3), empty_graph(1))
+        assert main(["analyze", "--g6", to_graph6(g)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "  vertex 3: periodic at all times (isolated)"
+
     def test_two_vertex_bad_pairs(self, capsys):
         for spec in ("0,7", "0,0"):
             assert main(["analyze", "--g6", "A_", "--pairs", spec]) == 2
@@ -134,7 +154,7 @@ class TestAnalyze:
 
 class TestSizeLimit:
     """analyze and periodic refuse more than 500 vertices with exit 2; a
-    family shorthand is refused before its graph is built."""
+    family shorthand or a graph6 string is refused before its graph is built."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -162,6 +182,32 @@ class TestSizeLimit:
         capsys.readouterr()
         for option in (["--max-n", "3"], ["--tol", "1e-9"]):
             assert main(["analyze", "--file", str(el), "--format", "edgelist", *option]) == 2
+
+
+    @pytest.mark.parametrize("source", ["g6", "file", "construct"])
+    def test_graph6_sized_from_header(self, monkeypatch, capsys, tmp_path, source):
+        def undecodable(text):
+            raise AssertionError("a graph6 body was decoded")
+
+        monkeypatch.setattr(cli, "parse_graph6", undecodable)
+        big = to_graph6(empty_graph(501))
+        path = tmp_path / "o501.g6"
+        path.write_text(big + "\n")
+        argv, n = {
+            "g6": (["periodic", "--g6", big, "--vertex", "0"], 501),
+            "file": (["analyze", "--file", str(path)], 501),
+            "construct": (["construct", "union", big, "K1"], 502),
+        }[source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"graph too large (n={n} > 500)" in captured.err
+
+    def test_file_line_never_shorthand(self, capsys, tmp_path):
+        for token in ("K4", "K501"):
+            path = tmp_path / "token.g6"
+            path.write_text(token + "\n")
+            assert main(["analyze", "--file", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("parse error")
 
 
 class TestPeriodic:
@@ -206,6 +252,15 @@ class TestConstruct:
         assert main(["construct", "threshold", "2,4"]) == 0
         got = parse_graph6(capsys.readouterr().out.strip())
         assert got == double_cone(complete_graph(4))
+
+    def test_complement(self, capsys):
+        assert main(["construct", "complement", "C4"]) == 0
+        got = parse_graph6(capsys.readouterr().out.strip())
+        assert got == complement(cycle_graph(4)) and got.edges == {(0, 2), (1, 3)}
+
+    def test_unknown_constructor(self, capsys):
+        assert main(["construct", "bogus"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_params(self, capsys):
         assert main(["construct", "path"]) == 2

@@ -1,5 +1,7 @@
 """Graph representation, formats, and constructors."""
 
+import re
+import tracemalloc
 from random import Random
 
 import pytest
@@ -18,6 +20,7 @@ from lafr.graphs import (
     distances,
     double_cone,
     empty_graph,
+    graph6_order,
     hadamard_graph,
     is_connected,
     is_double_cone,
@@ -123,6 +126,47 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6("A__")
 
+    def test_header_forms_match_reference_encoder(self):
+        rng = Random(3)
+        for n in (62, 63, 64, 200):
+            g = random_graph(rng, n)
+            assert to_graph6(g) == nx_graph6(g)
+        assert to_graph6(empty_graph(62))[0] == "}"
+        assert to_graph6(empty_graph(63)).startswith("~??~")
+
+    def test_order_from_header(self):
+        assert graph6_order(" >>graph6<<A_\n") == 2
+        assert graph6_order("}") == 62  # its 316 body bytes are never read
+        assert graph6_order("~?A?") == 128  # 2 << 6
+        # n = 258048 = 63 << 12 needs the long form; its body would be 5.5 GB
+        assert graph6_order("~~???~??") == 258048
+        assert graph6_order("~~~~~~~~") == 2**36 - 1
+        for g in (empty_graph(0), cycle_graph(5), empty_graph(63), empty_graph(300)):
+            assert graph6_order(to_graph6(g)) == g.n
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("", 0), ("A!", 1), ("~", 1), ("~?", 2), ("~??", 3), ("~~", 2), ("~~?????", 7)],
+    )
+    def test_header_errors_shared(self, text, offset):
+        for read in (graph6_order, parse_graph6):
+            with pytest.raises(GraphFormatError) as err:
+                read(text)
+            assert err.value.offset == offset
+
+    def test_decode_holds_no_pair_list(self):
+        # 499500 pairs: a list of them would take over 4 MB for its pointers
+        # alone, while the lazy pass holds one string of six bits per body byte
+        data = to_graph6(empty_graph(1000))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == empty_graph(1000)
+        assert peak < 2_000_000
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(0, 10), st.integers(0, 2**45 - 1))
     def test_round_trip_random(self, n, seed):
@@ -142,6 +186,22 @@ class TestEdgeList:
     def test_bad_edge(self):
         with pytest.raises(GraphFormatError):
             parse_edgelist("3\n0 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("3 4\n0 1\n", "first data line must be the vertex count", 1),
+            ("# n\nthree\n", "vertex count is not an integer", 2),
+            ("3\n0 1 2\n", "edge lines must be 'u v'", 2),
+            ("3\n0 1\n\n1 x\n", "edge endpoints must be integers", 4),
+            ("3\n0 5\n", "edge (0, 5) out of range", None),
+            ("3\n1 1\n", "self-loop at vertex 1", None),
+        ],
+    )
+    def test_error_lines(self, text, message, offset):
+        with pytest.raises(GraphFormatError, match=re.escape(message)) as err:
+            parse_edgelist(text)
+        assert err.value.offset == offset
 
 
 class TestLaplacian:

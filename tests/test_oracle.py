@@ -44,6 +44,16 @@ class TestEigh:
         with pytest.raises(ValueError):
             oracle.eigh([[0, 1], [0, 0]])
 
+    def test_rejects_non_square(self):
+        for m in ([[0, 1, 2], [1, 0, 3]], [1.0, 2.0]):
+            with pytest.raises(ValueError, match="not square"):
+                oracle.eigh(m)
+
+    def test_rejects_oversized(self):
+        n = oracle._EIGH_MAX_N + 1
+        with pytest.raises(ValueError, match="too large"):
+            oracle.eigh(np.zeros((n, n)))
+
     def test_residuals_and_orthonormality(self):
         rng = Random(97)
         for _ in range(10):
@@ -192,6 +202,10 @@ class TestTimeScan:
         for t_max in (-2 * math.pi, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="scan length"):
                 oracle.time_scan(path_graph(3), 0, 2, t_max, 720)
+
+    def test_rejects_no_steps(self):
+        with pytest.raises(ValueError, match="grid step"):
+            oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 0)
 
     def test_reads_only_pair_rows(self):
         # the oracle defines no dense U(t) builder; scans read the pair's rows
