@@ -14,9 +14,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
-from math import factorial, pi
+from math import factorial
 from random import Random
 
 import numpy as np
@@ -39,9 +38,9 @@ from .graphs import (
     to_graph6,
 )
 from .revival import (
+    TWO_VERTEX_SCHEDULE,
     RevivalStatus,
     all_lafr_pairs,
-    amplitudes_at,
     check_cartesian_product_rule,
     check_complement_transfer,
     check_join_extension,
@@ -49,6 +48,7 @@ from .revival import (
     check_polygamy_conditions,
     decide_proper_lafr,
     hadamard_partition_check,
+    isolated_edges,
     proper_time_valid,
 )
 from .spectral import strong_cospectral
@@ -175,8 +175,8 @@ def campaign_trees(n_max: int = 10) -> CampaignResult:
         trees = free_trees(n)
         counts[n] = len(trees)
         for t in trees:
-            # single edge: proper revival away from the quarter-period grid
-            if n == 2 or _has_proper_pair(t):
+            # the one tree with an isolated edge is the single edge itself
+            if isolated_edges(t) or _has_proper_pair(t):
                 graphs_with_proper.append(to_graph6(t))
                 if n >= 4:
                     counterexamples.append(to_graph6(t))
@@ -188,10 +188,7 @@ def campaign_trees(n_max: int = 10) -> CampaignResult:
         details={
             "counts_per_n": counts,
             "graphs_with_proper_pairs": graphs_with_proper,
-            "two_vertex_schedule": (
-                "single edge: periodic at multiples of pi, perfect state "
-                "transfer at odd multiples of pi/2, proper revival elsewhere"
-            ),
+            "two_vertex_schedule": TWO_VERTEX_SCHEDULE,
         },
     )
 
@@ -278,16 +275,11 @@ def campaign_constructions() -> CampaignResult:
             g = double_cone(mask_to_graph(k, key))
             n = g.n
             d = decide_proper_lafr(g, 0, 1)
-            amp = amplitudes_at(d.phase) if d.status is RevivalStatus.PROPER else None
             ok = (
                 d.status is RevivalStatus.PROPER
-                and d.g == n
-                and Fraction(*d.earliest_time) == Fraction(2, n)
+                and d.g == n  # earliest revival at 2*pi/n
                 and d.is_pst == (n == 4)
-                and oracle.revival_residual(
-                    g, 0, 1, 2 * pi / n, amp.alpha, amp.beta
-                )
-                <= oracle.RESIDUAL_TOL
+                and oracle.decision_residual(g, d) <= oracle.RESIDUAL_TOL
             )
             case(f"double-cone {to_graph6(g)}", ok, orbit)
     details["double_cones_checked"] = checked
@@ -329,13 +321,12 @@ def campaign_constructions() -> CampaignResult:
     # threshold instance: initial edgeless pair joined to a 4-clique
     thr = threshold_graph([2, 4])
     d = decide_proper_lafr(thr, 0, 1)
-    tau = Fraction(*d.earliest_time) if d.earliest_time else None
     details["threshold_ok"] = case(
         "threshold 2,4",
         d.status is RevivalStatus.PROPER
-        and tau == Fraction(1, 3)
-        and tau.denominator not in (1, 2)  # not an integer multiple of pi/2
-        and thr.n * tau % 2 == 0,  # (m1 + m2) * tau lands on the 2*pi grid
+        and d.g == 6  # earliest revival at pi/3
+        and 4 % d.g != 0  # not an integer multiple of pi/2
+        and thr.n % d.g == 0,  # (m1 + m2) * tau lands on the 2*pi grid
     )
 
     for side in (2, 4):
@@ -347,9 +338,7 @@ def campaign_constructions() -> CampaignResult:
         # class gcd 2n gives perfect state transfer at pi/n between antipodes
         case(
             f"hadamard n={side} revival",
-            d.status is RevivalStatus.PROPER
-            and d.is_pst
-            and Fraction(*d.earliest_time) == Fraction(1, side),
+            d.status is RevivalStatus.PROPER and d.is_pst and d.g == 2 * side,
         )
     details["hadamard_sides"] = [2, 4]
 

@@ -9,7 +9,8 @@ dense U(t) is ever built: a scan precomputes the pair's eigenvector
 products once, reads U(t) only through the pair's rows and refines one
 bracket per leakage dip, and the residual reads U(t) e_a alone.  Pairs
 pass the one vertex guard, :func:`lafr.graphs.check_vertices`, and a
-revival counts as verified when its residual is at most ``RESIDUAL_TOL``.
+PROPER decision, checked by :func:`decision_residual`, counts as
+verified when its residual is at most ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -185,3 +186,11 @@ def revival_residual(
     column[a] -= alpha
     column[b] -= beta
     return float(np.abs(column).max())
+
+
+def decision_residual(g: Graph, d) -> float:
+    """Residual of a PROPER revival decision at its earliest time, with the
+    amplitudes (1 + w)/2 and (1 - w)/2 of its phase w."""
+    w = d.phase.as_complex()
+    tau = math.pi * d.earliest_time[0] / d.earliest_time[1]
+    return revival_residual(g, *d.pair, tau, (1 + w) / 2, (1 - w) / 2)

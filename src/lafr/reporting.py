@@ -9,17 +9,19 @@ exactly.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from math import pi
 
 from . import __version__, oracle
 from .graphs import Graph, check_vertices, to_graph6
 from .revival import (
+    TWO_VERTEX_SCHEDULE,
     RevivalDecision,
     RevivalStatus,
     all_lafr_pairs,
     amplitudes_at,
     decide_proper_lafr,
+    isolated_edges,
+    two_pi_over,
 )
 from .spectral import is_periodic
 
@@ -37,14 +39,11 @@ def _complex_dict(z: complex | None) -> dict | None:
 
 
 def _decision_dict(g: Graph, d: RevivalDecision) -> dict:
-    alpha = beta = None
-    residual = None
-    verified = None
+    alpha = beta = residual = verified = None
     if d.status is RevivalStatus.PROPER:
         amp = amplitudes_at(d.phase)
         alpha, beta = amp.alpha, amp.beta
-        tau = pi * d.earliest_time[0] / d.earliest_time[1]
-        residual = oracle.revival_residual(g, d.pair[0], d.pair[1], tau, alpha, beta)
+        residual = oracle.decision_residual(g, d)
         verified = residual <= oracle.RESIDUAL_TOL
     return {
         "pair": list(d.pair),
@@ -63,10 +62,7 @@ def _decision_dict(g: Graph, d: RevivalDecision) -> dict:
 def periodicity_entry(g: Graph, v: int) -> dict:
     """Periodicity of vertex ``v`` as a report entry of JSON-native values."""
     per = is_periodic(g, v)
-    period = None
-    if per.periodic and per.big_g is not None:
-        f = Fraction(2, per.big_g)
-        period = (f.numerator, f.denominator)
+    period = two_pi_over(per.big_g) if per.big_g else None  # None: aperiodic or fixed
     return {
         "vertex": v,
         "periodic": per.periodic,
@@ -82,28 +78,17 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     proper or strongly cospectral; with ``pairs`` the listed pairs are
     decided regardless of outcome, and each must be two distinct vertices
     of ``g``.  A PROPER pair is verified when its oracle residual is at
-    most ``oracle.RESIDUAL_TOL``.
+    most ``oracle.RESIDUAL_TOL``.  A note names any isolated edges, which
+    follow the two-vertex schedule instead of the characterization.
     """
     for a, b in pairs or ():
         check_vertices(g, a, b)
     start = time.perf_counter()
     decisions: list[dict] = []
-    note = None
-    if g.n == 2:
-        # the characterization needs three vertices; report the closed form
-        note = (
-            "two-vertex graph: periodic at integer multiples of pi, perfect "
-            "state transfer at odd multiples of pi/2, proper revival at all "
-            "other times"
-            if g.num_edges == 1
-            else "edgeless graph: stationary walk"
-        )
-    elif pairs is not None:
-        for a, b in pairs:
-            decisions.append(_decision_dict(g, decide_proper_lafr(g, a, b)))
-    elif g.n >= 3:
-        decisions = [_decision_dict(g, d) for d in all_lafr_pairs(g)]
-    decisions.sort(key=lambda d: d["pair"])
+    if g.n >= 3:
+        found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in pairs]
+        decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])
+    edges = isolated_edges(g)
     report = {
         "graph": {"graph6": to_graph6(g), "n": g.n, "edges": g.num_edges},
         "decisions": decisions,
@@ -111,8 +96,9 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
         "runtime_seconds": time.perf_counter() - start,
         "version": __version__,
     }
-    if note:
-        report["note"] = note
+    if edges:
+        names = ", ".join(f"({u},{v})" for u, v in sorted(edges))
+        report["note"] = f"{TWO_VERTEX_SCHEDULE}; isolated edges on this schedule: {names}"
     return report
 
 

@@ -7,10 +7,10 @@ from the all-pairs scan, is decided by :func:`decide_proper_lafr` alone:
 vertex guard, all-integer supports, strong cospectrality, then the class
 gcd of the eigenvalue partition.  The scan decides only pairs whose
 vertices share a bucket of certified, sign-scaled eigenprojection columns
-(see :mod:`lafr.spectral`).  Times are exact rational multiples of pi
-throughout, and no verdict here touches floating point: the
-complement-transfer checker decides the identity from its two hypotheses
-in integers, and the numeric oracle only cross-checks it in the tests.
+(see :mod:`lafr.spectral`).  Times are exact: each one made here is
+:func:`two_pi_over` of a gcd, each grid test is ``_on_grid``, and no
+verdict touches floating point.  The complement-transfer checker decides
+its identity in integers; the numeric oracle only cross-checks it in tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -72,7 +71,7 @@ class PhaseRational:
         return self.k * other.g == other.k * self.g
 
     def __hash__(self):
-        return hash(Fraction(self.k, self.g))
+        return hash(self.k / self.g)  # equal ratios round to one float
 
     def as_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.k / self.g)
@@ -98,23 +97,35 @@ class RevivalDecision:
     is_pst: bool | None = None
 
 
-def _pi_rational(num: int, den: int) -> PiRational:
-    f = Fraction(num, den)
-    return (f.numerator, f.denominator)
+TWO_VERTEX_SCHEDULE = (
+    "two-vertex graph: periodic at integer multiples of pi, perfect state "
+    "transfer at odd multiples of pi/2, proper revival at all other times"
+)
+
+
+def two_pi_over(g: int) -> PiRational:
+    """The time 2*pi/g in lowest terms: every revival time is made here."""
+    return (1, g // 2) if g % 2 == 0 else (2, g)
+
+
+def _on_grid(num: int, den: int, g: int) -> bool:
+    """Whether (num/den)*pi is an integer multiple of 2*pi/g."""
+    return num * g % (2 * den) == 0
 
 
 def two_vertex_time_class(num: int, den: int) -> TwoVertexClass:
-    """Closed-form schedule of the single-edge graph at time (num/den)*pi.
-
-    Periodic at integer multiples of pi, perfect state transfer at odd
-    multiples of pi/2, proper fractional revival everywhere else.
-    """
-    t = Fraction(num, den)
-    if t.denominator == 1:
+    """Class of time (num/den)*pi on the single edge's TWO_VERTEX_SCHEDULE."""
+    if _on_grid(num, den, 2):
         return TwoVertexClass.PERIODIC
-    if t.denominator == 2:
+    if _on_grid(num, den, 4):
         return TwoVertexClass.PST
     return TwoVertexClass.PROPER
+
+
+def isolated_edges(g: Graph) -> list[tuple[int, int]]:
+    """Single-edge components, which follow the two-vertex schedule."""
+    degs = g.degrees()
+    return [(u, v) for u, v in g.edges if degs[u] == 1 and degs[v] == 1]
 
 
 def class_gcd(part: PairPartition) -> int:
@@ -172,7 +183,7 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
         pair,
         partition=part,
         g=gg,
-        earliest_time=_pi_rational(2, gg),
+        earliest_time=two_pi_over(gg),
         phase=PhaseRational(k, gg),
         is_pst=(2 * k == gg),
     )
@@ -193,28 +204,20 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
     for v, spec in enumerate(vertex_spectra(g)):
         if spec is not None:
             buckets.setdefault(spec.key, []).append(v)
-    skip = set(_isolated_edges(g))
+    skip = set(isolated_edges(g))
     pairs = sorted(p for vs in buckets.values() for p in combinations(vs, 2))
     return [decide_proper_lafr(g, *p) for p in pairs if p not in skip]
 
 
 def earliest_common_lafr_time(g: Graph) -> PiRational | None:
-    """Earliest proper revival time over all pairs, or ``None``.
-
-    The two-vertex graph is excluded (its proper times form a continuum;
-    see :func:`two_vertex_time_class`).
+    """Earliest proper revival time over all pairs, 2*pi over the largest
+    class gcd, or ``None``.  The two-vertex graph is excluded (its proper
+    times form a continuum; see :func:`two_vertex_time_class`).
     """
     if g.n < 3:
         return None
-    times = [
-        Fraction(*d.earliest_time)
-        for d in all_lafr_pairs(g)
-        if d.status is RevivalStatus.PROPER
-    ]
-    if not times:
-        return None
-    best = min(times)
-    return (best.numerator, best.denominator)
+    gcds = [d.g for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER]
+    return two_pi_over(max(gcds)) if gcds else None
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +227,13 @@ def earliest_common_lafr_time(g: Graph) -> PiRational | None:
 def proper_time_valid(decision: RevivalDecision, num: int, den: int) -> bool:
     """Whether (num/den)*pi is a proper revival time for a PROPER decision.
 
-    Valid times are the multiples m * 2*pi/g whose phase m*k stays nonzero
-    modulo g.
+    Valid times t are the multiples m * 2*pi/g whose phase m*k stays
+    nonzero modulo g, that is, whose t*k is no multiple of 2*pi.
     """
-    if decision.status is not RevivalStatus.PROPER:
+    if decision.status is not RevivalStatus.PROPER or num * den <= 0:
         return False
-    m = Fraction(num * decision.g, 2 * den)
-    if m.denominator != 1 or m <= 0:
-        return False
-    return (m.numerator * decision.phase.k) % decision.g != 0
-
-
-def _isolated_edges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose two ends both have degree one: single-edge components."""
-    degs = g.degrees()
-    return [(u, v) for u, v in g.edges if degs[u] == 1 and degs[v] == 1]
+    k = decision.phase.k
+    return _on_grid(num, den, decision.g) and not _on_grid(num * k, den, 1)
 
 
 def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
@@ -249,7 +244,7 @@ def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
     """
     pairs = []
     if two_vertex_time_class(num, den) is TwoVertexClass.PROPER:
-        pairs += _isolated_edges(g)
+        pairs += isolated_edges(g)
     if g.n >= 3:
         pairs += [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
     return pairs
@@ -257,23 +252,19 @@ def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
 
 def has_proper_lafr_at(g: Graph, num: int, den: int) -> bool:
     """Whether the graph admits proper revival at exactly time (num/den)*pi."""
-    if Fraction(num, den) <= 0:
+    if num * den <= 0:
         raise ValueError("time must be positive")
     return bool(_proper_pairs_at(g, num, den))
 
 
 def has_periodic_vertex_at(g: Graph, num: int, den: int) -> bool:
     """Whether some vertex is periodic at exactly time (num/den)*pi."""
-    if Fraction(num, den) <= 0:
+    if num * den <= 0:
         raise ValueError("time must be positive")
     for v in range(g.n):
         per = is_periodic(g, v)
-        if not per.periodic:
-            continue
-        if per.big_g is None:
-            return True  # support {0}: the walk fixes this vertex at all times
-        m = Fraction(num * per.big_g, 2 * den)
-        if m.denominator == 1 and m > 0:
+        # a periodic vertex without G has support {0}: fixed at all times
+        if per.periodic and (per.big_g is None or _on_grid(num, den, per.big_g)):
             return True
     return False
 
@@ -316,7 +307,7 @@ def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:
     the identity on that time grid.  The sum of the two Laplacians is
     checked against nI - J in integers.
     """
-    if Fraction(x.n * tau_num, 2 * tau_den).denominator != 1:
+    if not _on_grid(tau_num, tau_den, x.n):
         raise NotApplicableError("n * tau must be a multiple of 2*pi")
     total = [
         [u + v for u, v in zip(row, row_c)]
@@ -382,8 +373,8 @@ def check_polygamy_conditions(
     y_proper = big_h % t2 != 0
     x_periodic = big_g % t2 == 0
     return PolygamyCheck(
-        lafr_x_per_y_time=_pi_rational(2, t1),
-        lafr_y_per_x_time=_pi_rational(2, t2),
+        lafr_x_per_y_time=two_pi_over(t1),
+        lafr_y_per_x_time=two_pi_over(t2),
         ok=x_proper and y_periodic and y_proper and x_periodic,
     )
 

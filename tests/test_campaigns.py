@@ -295,6 +295,9 @@ BATTERY_FAILURES = {
     "revival_residual": (
         (oracle, lambda *args: 1.0), ["double-cone"] * 52
     ),
+    "decision_residual": (
+        (oracle, lambda *args: 1.0), ["double-cone"] * 52
+    ),
     "check_cartesian_product_rule": (
         (campaigns, lambda *args: False),
         ["cartesian K3,P3,2/3", "cartesian K2,P3,2/3", "cartesian K1,P3,2/3"],

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lafr import campaigns, cli
+from lafr import campaigns, cli, oracle
 from lafr.cli import graph_from_token, main
 from lafr.graphs import (
     cartesian_product,
@@ -133,6 +133,33 @@ class TestAnalyze:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("note: two-vertex graph")
         assert lines[2] == "pairs: none"
+
+    def test_isolated_edge_note_beside_other_vertices(self, capsys):
+        # K2 + K1: the isolated edge follows the two-vertex schedule, so the
+        # report names it although the graph has three vertices
+        assert main(["analyze", "--g6", "B_"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("note: two-vertex graph") and lines[1].endswith(": (0,1)")
+        assert lines[2] == "pairs: none"
+        # P3 + K2: the note names the edge and the P3 ends still revive
+        report = build_analysis_report(disjoint_union(path_graph(3), path_graph(2)))
+        assert report["note"].endswith(": (3,4)")
+        assert [(d["pair"], d["status"]) for d in report["decisions"]] == [([0, 2], "PROPER")]
+
+    def test_no_note_without_isolated_edge(self):
+        for g in (path_graph(3), cycle_graph(6), empty_graph(2)):
+            assert "note" not in build_analysis_report(g)
+
+    def test_failing_residual_unverifies_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "decision_residual", lambda *args: 1.0)
+        assert main(["analyze", "--g6", "C6", "--json"]) == 0
+        proper = [
+            d for d in json.loads(capsys.readouterr().out)["decisions"]
+            if d["status"] == "PROPER"
+        ]
+        assert len(proper) == 3
+        assert all(d["oracle_residual"] == 1.0 for d in proper)
+        assert all(d["oracle_verified"] is False for d in proper)
 
     def test_text_periodic_only(self, capsys):
         ladder = cartesian_product(path_graph(2), path_graph(3))

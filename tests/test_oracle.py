@@ -1,5 +1,7 @@
 """Floating-point oracle: spectra, walk operators, pair leakage, scans."""
 
+import ast
+import inspect
 import math
 from random import Random
 
@@ -17,13 +19,15 @@ from lafr.graphs import (
     distances,
     double_cone,
     empty_graph,
+    hadamard_graph,
     is_connected,
     laplacian,
     path_graph,
     spanning_tree_count,
+    sylvester_hadamard,
 )
 from lafr.reporting import build_analysis_report
-from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
+from lafr.revival import RevivalStatus, all_lafr_pairs, amplitudes_at, decide_proper_lafr
 from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
 
 
@@ -363,6 +367,33 @@ class TestRevivalResidual:
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             oracle.revival_residual(path_graph(3), 0, 2, math.nan, 0.5, 0.5)
+
+
+class TestDecisionResidual:
+    GRAPHS = {
+        "C6": cycle_graph(6),
+        "DC(K4)": double_cone(complete_graph(4)),
+        "Q3": cartesian_product(cartesian_product(path_graph(2), path_graph(2)), path_graph(2)),
+        "H16": hadamard_graph(sylvester_hadamard(2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_amplitude_route(self, name):
+        g = self.GRAPHS[name]
+        proper = [d for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER]
+        assert proper
+        for d in proper:
+            amp = amplitudes_at(d.phase)
+            tau = math.pi * d.earliest_time[0] / d.earliest_time[1]
+            want = oracle.revival_residual(g, *d.pair, tau, amp.alpha, amp.beta)
+            assert oracle.decision_residual(g, d) == want  # bit for bit
+            assert want <= oracle.RESIDUAL_TOL
+
+    def test_oracle_does_not_import_revival(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        assert not any("revival" in (m or "") for m in modules)
 
 
 class TestNumericStrongCospectral:

@@ -39,6 +39,7 @@ from lafr.revival import (
     has_periodic_vertex_at,
     has_proper_lafr_at,
     proper_time_valid,
+    two_pi_over,
     two_vertex_time_class,
 )
 from lafr.spectral import PairPartition
@@ -200,6 +201,75 @@ class TestEarliestCommonTime:
 
     def test_k4_none(self):
         assert earliest_common_lafr_time(complete_graph(4)) is None
+
+    def test_largest_gcd_is_earliest(self):
+        # P3 revives at 2pi/3 and DC(K3) at 2pi/5
+        g = disjoint_union(path_graph(3), double_cone(complete_graph(3)))
+        assert sorted(d.g for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER) == [3, 5]
+        assert earliest_common_lafr_time(g) == (2, 5)
+
+    def test_lowest_terms(self):
+        assert earliest_common_lafr_time(cycle_graph(4)) == (1, 2)
+        for g in range(1, 40):
+            f = Fraction(2, g)
+            assert two_pi_over(g) == (f.numerator, f.denominator)
+
+
+# signed times (num/den)*pi, zero and negative ones included
+GRID_TIMES = [(num, den) for num in range(-7, 8) for den in (-3, -1, 1, 2, 3, 4, 6)]
+
+
+class TestGridRule:
+    """The integer grid rule agrees with the Fraction formulas it replaced,
+    written out here, on every time of ``GRID_TIMES``."""
+
+    def test_two_vertex_time_class(self):
+        for num, den in GRID_TIMES:
+            want = {1: TwoVertexClass.PERIODIC, 2: TwoVertexClass.PST}.get(
+                Fraction(num, den).denominator, TwoVertexClass.PROPER
+            )
+            assert two_vertex_time_class(num, den) is want, (num, den)
+
+    @pytest.mark.parametrize(
+        "graph, pair",
+        [
+            (path_graph(3), (0, 2)),
+            (cycle_graph(4), (0, 2)),
+            (double_cone(complete_graph(3)), (0, 1)),
+        ],
+        ids=["P3", "C4", "DC(K3)"],
+    )
+    def test_proper_time_valid(self, graph, pair):
+        d = decide_proper_lafr(graph, *pair)
+        assert d.status is RevivalStatus.PROPER
+        for num, den in GRID_TIMES:
+            m = Fraction(num * d.g, 2 * den)
+            want = m.denominator == 1 and m > 0 and m.numerator * d.phase.k % d.g != 0
+            assert proper_time_valid(d, num, den) == want, (num, den)
+
+    @pytest.mark.parametrize("x", [cycle_graph(4), path_graph(4)], ids=["C4", "P4"])
+    def test_complement_applicability(self, x):
+        for num, den in GRID_TIMES:
+            if Fraction(x.n * num, 2 * den).denominator == 1:
+                assert check_complement_transfer(x, num, den), (num, den)
+            else:
+                with pytest.raises(NotApplicableError):
+                    check_complement_transfer(x, num, den)
+
+    def test_time_checks(self):
+        # P3's vertices have G = 1, 3, 1 and its ends revive with g = 3, k = 1
+        g = path_graph(3)
+        for num, den in GRID_TIMES:
+            if Fraction(num, den) <= 0:
+                for check in (has_proper_lafr_at, has_periodic_vertex_at):
+                    with pytest.raises(ValueError):
+                        check(g, num, den)
+                continue
+            periodic = any(Fraction(num * big_g, 2 * den).denominator == 1 for big_g in (1, 3))
+            m = Fraction(num * 3, 2 * den)
+            proper = m.denominator == 1 and m.numerator % 3 != 0
+            assert has_periodic_vertex_at(g, num, den) == periodic, (num, den)
+            assert has_proper_lafr_at(g, num, den) == proper, (num, den)
 
 
 class TestTimeMembership:
