@@ -32,7 +32,6 @@ from .graphs import (
     parse_edgelist,
     parse_graph6,
     path_graph,
-    spanning_tree_count,
     standard_graph,
     sylvester_hadamard,
     threshold_graph,
@@ -51,7 +50,6 @@ from .revival import (
     two_vertex_time_class,
 )
 from .spectral import (
-    EigenvalueSupport,
     PairPartition,
     eigenvalue_support,
     is_periodic,
@@ -68,7 +66,6 @@ __all__ = [
     "RevivalDecision",
     "PhaseRational",
     "Amplitudes",
-    "EigenvalueSupport",
     "PairPartition",
     "parse_graph6",
     "to_graph6",
@@ -87,7 +84,6 @@ __all__ = [
     "cycle_graph",
     "complete_graph",
     "empty_graph",
-    "spanning_tree_count",
     "is_connected",
     "is_double_cone",
     "eigenvalue_support",

@@ -83,18 +83,6 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     )
 
 
-def graph_to_mask(g: Graph) -> int:
-    mask = 0
-    for b, pair in enumerate(pair_table(g.n)):
-        if pair in g.edges:
-            mask |= 1 << b
-    return mask
-
-
-def all_graph_masks(n: int):
-    return range(1 << (n * (n - 1) // 2))
-
-
 @functools.lru_cache(maxsize=None)
 def _relabel_powers(p: int) -> np.ndarray:
     """(pairs, p!) float64 table: entry (b, s) is 2^(the bit pair b moves to

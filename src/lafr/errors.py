@@ -12,5 +12,5 @@ class NotApplicableError(Exception):
 
 
 class SpecialSmallGraphError(Exception):
-    """The revival characterization needs at least three vertices; the
-    two-vertex complete graph follows a documented closed-form schedule."""
+    """The pair is an isolated edge, which the revival characterization does
+    not cover: it follows the documented two-vertex schedule instead."""

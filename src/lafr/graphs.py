@@ -259,46 +259,6 @@ def hadamard_graph(h: list[list[int]]) -> Graph:
 # combinatorial utilities
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def spanning_tree_count(g: Graph, deleted_vertex: int = 0) -> int:
-    """Number of spanning trees, as the Laplacian cofactor at ``deleted_vertex``.
-
-    Exact; 0 precisely when the graph is disconnected (for n >= 2), and
-    independent of which vertex is deleted.
-    """
-    check_vertices(g, deleted_vertex)
-    lap = laplacian(g)
-    minor = [
-        [lap[i][j] for j in range(g.n) if j != deleted_vertex]
-        for i in range(g.n)
-        if i != deleted_vertex
-    ]
-    return _bareiss_det(minor)
-
-
 def distances(g: Graph, a: int) -> list[int | None]:
     """BFS hop distances from ``a``; ``None`` marks unreachable vertices."""
     check_vertices(g, a)

@@ -190,7 +190,6 @@ def revival_residual(
 
 def decision_residual(g: Graph, d) -> float:
     """Residual of a PROPER revival decision at its earliest time, with the
-    amplitudes (1 + w)/2 and (1 - w)/2 of its phase w."""
-    w = d.phase.as_complex()
+    amplitudes of its phase."""
     tau = math.pi * d.earliest_time[0] / d.earliest_time[1]
-    return revival_residual(g, *d.pair, tau, (1 + w) / 2, (1 - w) / 2)
+    return revival_residual(g, *d.pair, tau, *d.phase.amplitudes())

@@ -18,7 +18,6 @@ from .revival import (
     RevivalDecision,
     RevivalStatus,
     all_lafr_pairs,
-    amplitudes_at,
     decide_proper_lafr,
     isolated_edges,
     two_pi_over,
@@ -41,8 +40,7 @@ def _complex_dict(z: complex | None) -> dict | None:
 def _decision_dict(g: Graph, d: RevivalDecision) -> dict:
     alpha = beta = residual = verified = None
     if d.status is RevivalStatus.PROPER:
-        amp = amplitudes_at(d.phase)
-        alpha, beta = amp.alpha, amp.beta
+        alpha, beta = d.phase.amplitudes()
         residual = oracle.decision_residual(g, d)
         verified = residual <= oracle.RESIDUAL_TOL
     return {
@@ -79,15 +77,14 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     decided regardless of outcome, and each must be two distinct vertices
     of ``g``.  A PROPER pair is verified when its oracle residual is at
     most ``oracle.RESIDUAL_TOL``.  A note names any isolated edges, which
-    follow the two-vertex schedule instead of the characterization.
+    follow the two-vertex schedule instead of the characterization; an
+    explicit pair that is one raises ``SpecialSmallGraphError``.
     """
     for a, b in pairs or ():
         check_vertices(g, a, b)
     start = time.perf_counter()
-    decisions: list[dict] = []
-    if g.n >= 3:
-        found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in pairs]
-        decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])
+    found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in pairs]
+    decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])
     edges = isolated_edges(g)
     report = {
         "graph": {"graph6": to_graph6(g), "n": g.n, "edges": g.num_edges},

@@ -9,7 +9,10 @@ gcd of the eigenvalue partition.  The scan decides only pairs whose
 vertices share a bucket of certified, sign-scaled eigenprojection columns
 (see :mod:`lafr.spectral`).  Times are exact: each one made here is
 :func:`two_pi_over` of a gcd, each grid test is ``_on_grid``, and no
-verdict touches floating point.  The complement-transfer checker decides
+verdict touches floating point.  The one small-graph rule is the isolated
+edge: :func:`class_gcd` raises ``SpecialSmallGraphError`` for such a pair,
+and the scan skips it; every other pair on any number of vertices goes
+through the characterization.  The complement-transfer checker decides
 its identity in integers; the numeric oracle only cross-checks it in tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
@@ -75,6 +78,11 @@ class PhaseRational:
 
     def as_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.k / self.g)
+
+    def amplitudes(self) -> tuple[complex, complex]:
+        """The pair amplitudes (1 + w)/2 and (1 - w)/2 for this phase w."""
+        w = self.as_complex()
+        return (1 + w) / 2, (1 - w) / 2
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,7 @@ def class_gcd(part: PairPartition) -> int:
 
 
 def amplitudes_at(phase: PhaseRational) -> Amplitudes:
-    omega = phase.as_complex()
-    return Amplitudes(omega=phase, alpha=(1 + omega) / 2, beta=(1 - omega) / 2)
+    return Amplitudes(phase, *phase.amplitudes())
 
 
 def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
@@ -157,13 +164,9 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     cospectral, and some minus-class eigenvalue must avoid the class gcd.
     When all three hold the earliest revival time is 2*pi/g with phase
     residue k = (minus element mod g), and the revival degenerates to
-    perfect state transfer exactly when k/g = 1/2.
+    perfect state transfer exactly when k/g = 1/2.  An isolated edge has
+    no class gcd: :func:`class_gcd` raises ``SpecialSmallGraphError``.
     """
-    if g.n < 3:
-        raise SpecialSmallGraphError(
-            "the characterization needs at least three vertices; "
-            "see two_vertex_time_class for the single-edge graph"
-        )
     check_vertices(g, a, b)
     pair = (a, b) if a < b else (b, a)
     if vertex_spectra(g)[a] is None or vertex_spectra(g)[b] is None:
@@ -198,8 +201,6 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
     they share a bucket.  An isolated edge follows the two-vertex schedule
     and is not listed.
     """
-    if g.n < 3:
-        raise SpecialSmallGraphError("all-pairs scan needs at least three vertices")
     buckets: dict = {}
     for v, spec in enumerate(vertex_spectra(g)):
         if spec is not None:
@@ -211,11 +212,9 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
 
 def earliest_common_lafr_time(g: Graph) -> PiRational | None:
     """Earliest proper revival time over all pairs, 2*pi over the largest
-    class gcd, or ``None``.  The two-vertex graph is excluded (its proper
+    class gcd, or ``None``.  Isolated edges are excluded (their proper
     times form a continuum; see :func:`two_vertex_time_class`).
     """
-    if g.n < 3:
-        return None
     gcds = [d.g for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER]
     return two_pi_over(max(gcds)) if gcds else None
 
@@ -242,11 +241,9 @@ def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
     Isolated-edge components contribute on the two-vertex continuum
     schedule; all other pairs go through the characterization.
     """
-    pairs = []
+    pairs = [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
     if two_vertex_time_class(num, den) is TwoVertexClass.PROPER:
         pairs += isolated_edges(g)
-    if g.n >= 3:
-        pairs += [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
     return pairs
 
 

@@ -29,9 +29,9 @@ cache, decides every vertex at once, each candidate support in one batch:
 Two vertices with all-integer supports are strongly cospectral exactly when
 their supports agree and so do their columns l_mu(L) e, each scaled by the
 sign of its first nonzero entry, so they can be bucketed on that key; the
-signs give the plus and minus classes.  No decision needs the integer part
-of a support that is not all-integer: :func:`eigenvalue_support` reads it
-on demand from the exact minimal polynomial of the moments (L^k)_aa.
+signs give the plus and minus classes.  Only certified supports are
+reported: :func:`eigenvalue_support` is ``None`` for a vertex whose support
+is not all-integer, and no decision reads more of such a support.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from math import comb, gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
 from .errors import NonIntegerSupportError
-from .exactalg import minimal_polynomial, poly_eval, poly_from_roots
-from .graphs import Graph, adjacency_sets, check_vertices, laplacian
+from .exactalg import poly_from_roots
+from .graphs import Graph, check_vertices, laplacian
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,16 +53,6 @@ PRIME = 1000003
 # the entries of the weight transform, n + 1 products below (p - 1)^2 each,
 # so float64 BLAS is exact while (n + 1) * (p - 1)^2 < 2^53: n <= 9006 here.
 _FLOAT_EXACT = 2**53
-
-
-@dataclass(frozen=True)
-class EigenvalueSupport:
-    """Integer part of a vertex's eigenvalue support; ``all_integer`` says
-    whether it is the whole support."""
-
-    vertex: int
-    integer_eigenvalues: frozenset[int]
-    all_integer: bool
 
 
 @dataclass(frozen=True)
@@ -208,28 +198,12 @@ def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
         p = _next_prime(p)
 
 
-def _moments(g: Graph, a: int) -> list[int]:
-    """(L^k)_aa for k < 2n, in integers: x_k . x_k and x_k . x_(k+1) for
-    x_k = L^k e_a, as L is symmetric."""
-    adj, degs = adjacency_sets(g), g.degrees()
-    x, out = [int(v == a) for v in range(g.n)], []
-    for _ in range(g.n):
-        y = [d * x[v] - sum(x[u] for u in adj[v]) for v, d in enumerate(degs)]
-        out += [sum(s * s for s in x), sum(s * t for s, t in zip(x, y))]
-        x = y
-    return out
-
-
-def eigenvalue_support(g: Graph, a: int) -> EigenvalueSupport:
-    """The integer part of the support of vertex ``a``, and whether it is
-    the whole support."""
+def eigenvalue_support(g: Graph, a: int) -> frozenset[int] | None:
+    """The certified support of vertex ``a``, or ``None`` where it is not
+    all-integer."""
     check_vertices(g, a)
     spec = vertex_spectra(g)[a]
-    if spec is not None:
-        return EigenvalueSupport(a, frozenset(spec.support), True)
-    m_a = minimal_polynomial(_moments(g, a))
-    roots = frozenset(mu for mu in range(g.n + 1) if poly_eval(m_a, mu) == 0)
-    return EigenvalueSupport(a, roots, False)
+    return None if spec is None else frozenset(spec.support)
 
 
 def is_periodic(g: Graph, a: int) -> Periodicity:

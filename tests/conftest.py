@@ -7,8 +7,10 @@ corpus.  The helpers below are references and test-only constructions
 that the package itself never calls: the exact kernel, signed incidence
 matrices, eccentricity, the numeric strong-cospectrality probe, the
 dense walk operator U(t) that the oracle's row and column reads are
-checked against, and the psi route (characteristic polynomial, integer
-roots and idempotents) that the vertex-local spectra are checked against.
+checked against, the psi route (characteristic polynomial, integer
+roots and idempotents) that the vertex-local spectra are checked against,
+the spanning-tree count by the matrix-tree theorem, and the bitmask of a
+labeled graph.
 """
 
 import functools
@@ -20,9 +22,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from lafr.campaigns import campaign_prime_order, mask_to_graph
+from lafr.campaigns import campaign_prime_order, mask_to_graph, pair_table
 from lafr.errors import NotApplicableError
-from lafr.graphs import Graph, distances, is_connected, laplacian, spanning_tree_count
+from lafr.graphs import Graph, check_vertices, distances, is_connected, laplacian
 from lafr.oracle import graph_spectrum
 from lafr.spectral import eigenvalue_support
 
@@ -44,6 +46,58 @@ def atlas_connected(max_n: int) -> list[Graph]:
 
 def random_graph(rng: Random, n: int) -> Graph:
     return mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+
+
+def graph_to_mask(g: Graph) -> int:
+    mask = 0
+    for b, pair in enumerate(pair_table(g.n)):
+        if pair in g.edges:
+            mask |= 1 << b
+    return mask
+
+
+def all_graph_masks(n: int):
+    return range(1 << (n * (n - 1) // 2))
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [row[:] for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def spanning_tree_count(g: Graph, deleted_vertex: int = 0) -> int:
+    """Number of spanning trees, as the Laplacian cofactor at ``deleted_vertex``.
+
+    Exact; 0 precisely when the graph is disconnected (for n >= 2), and
+    independent of which vertex is deleted.
+    """
+    check_vertices(g, deleted_vertex)
+    lap = laplacian(g)
+    minor = [
+        [lap[i][j] for j in range(g.n) if j != deleted_vertex]
+        for i in range(g.n)
+        if i != deleted_vertex
+    ]
+    return _bareiss_det(minor)
 
 
 def kernel_basis(m) -> list[list[Fraction]]:
@@ -399,9 +453,9 @@ def support_product_divides_trees(g: Graph, a: int) -> bool:
     if spec.cofactor != [1]:
         raise NotApplicableError("spectrum does not split over the integers")
     sup = eigenvalue_support(g, a)
-    if not sup.all_integer:
+    if sup is None:
         raise NotApplicableError("vertex support is not all-integer")
-    outside = prod(mu for mu in spec.roots if mu not in sup.integer_eigenvalues)
+    outside = prod(mu for mu in spec.roots if mu not in sup)
     return spanning_tree_count(g) % outside == 0
 
 

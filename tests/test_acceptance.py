@@ -16,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import atlas_connected, transition_matrix
+from conftest import all_graph_masks, atlas_connected, transition_matrix
 from lafr import oracle
 from lafr.campaigns import (
-    all_graph_masks,
     campaign_constructions,
     campaign_prime_order,
     campaign_trees,

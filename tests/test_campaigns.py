@@ -9,15 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import all_graph_masks, graph_to_mask
 from lafr import campaigns, oracle
 from lafr.campaigns import (
     _has_proper_pair,
-    all_graph_masks,
     campaign_constructions,
     campaign_prime_order,
     campaign_trees,
     canonical_masks,
-    graph_to_mask,
     isomorphism_classes,
     mask_to_graph,
     pair_table,

@@ -1,9 +1,14 @@
-"""Command-line interface: parsing, reports, exit codes."""
+"""Command-line interface: parsing, reports, exit codes, public surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lafr
 from lafr import campaigns, cli, oracle
 from lafr.cli import graph_from_token, main
 from lafr.graphs import (
@@ -101,13 +106,24 @@ class TestAnalyze:
         assert "empty graph6 payload" in capsys.readouterr().err
 
     def test_isolated_edge_pair(self, capsys):
-        # B_ is K2 + K1: the pair is an isolated edge, outside the
-        # characterization, which is a usage error and not a counterexample
-        assert main(["analyze", "--g6", "B_", "--pairs", "0,1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert "two-vertex schedule" in line
+        # B_ is K2 + K1 and A_ is K2: the pair is an isolated edge, outside
+        # the characterization, which is a usage error and not a
+        # counterexample, whatever the number of vertices
+        for g6 in ("B_", "A_"):
+            assert main(["analyze", "--g6", g6, "--pairs", "0,1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert "two-vertex schedule" in line
+
+    def test_two_vertex_empty_pair(self, capsys):
+        # O2's pair goes through the characterization like any other
+        assert main(["analyze", "--g6", "O2", "--pairs", "0,1", "--json"]) == 0
+        [decision] = json.loads(capsys.readouterr().out)["decisions"]
+        assert decision["pair"] == [0, 1]
+        assert decision["status"] == "NOT_STRONGLY_COSPECTRAL"
+        assert main(["analyze", "--g6", "O2", "--pairs", "0,1"]) == 0
+        assert "  (0,1) NOT_STRONGLY_COSPECTRAL" in capsys.readouterr().out.splitlines()
 
     def test_malformed_pair(self, capsys):
         for spec in ("0", "0,1,2", "0,x"):
@@ -125,8 +141,10 @@ class TestAnalyze:
         assert main(["analyze", "--g6", "A_", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "note" in report and "pi/2" in report["note"]
-        assert main(["analyze", "--g6", "A_", "--json", "--pairs", "0,1"]) == 0
-        assert json.loads(capsys.readouterr().out)["note"] == report["note"]
+        # an explicit isolated-edge pair is refused, with no report
+        assert main(["analyze", "--g6", "A_", "--json", "--pairs", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "two-vertex schedule" in captured.err
 
     def test_text_two_vertex_note(self, capsys):
         assert main(["analyze", "--g6", "A_"]) == 0
@@ -357,3 +375,17 @@ class TestCampaignCommand:
         for workers in ("0", "-2"):
             assert main(["campaign", "prime5", "--workers", workers]) == 2
             assert "workers must be at least 1" in capsys.readouterr().err
+
+
+class TestPublicSurface:
+    def test_every_export_resolves(self):
+        assert all(hasattr(lafr, name) for name in lafr.__all__)
+
+    def test_no_duplicate_exports(self):
+        assert len(set(lafr.__all__)) == len(lafr.__all__)
+
+    def test_star_import(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        code = "from lafr import *; import lafr; assert set(lafr.__all__) <= set(globals())"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

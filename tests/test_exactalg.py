@@ -1,6 +1,6 @@
-"""Exact integer algebra: polynomials from their roots and minimal
-polynomials of integer sequences, plus the test-side references (the
-characteristic polynomial, its integer roots and the exact kernel)."""
+"""Exact integer algebra: polynomials from their roots, plus the test-side
+references (the characteristic polynomial, its integer roots and the exact
+kernel)."""
 
 from fractions import Fraction
 from random import Random
@@ -8,8 +8,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from conftest import char_poly, kernel_basis, random_graph, split_integer_roots
-from lafr.exactalg import minimal_polynomial, poly_eval, poly_from_roots
+from conftest import char_poly, kernel_basis, poly_eval, random_graph, split_integer_roots
+from lafr.exactalg import poly_from_roots
 from lafr.graphs import laplacian, path_graph
 
 
@@ -27,48 +27,6 @@ class TestPolyFromRoots:
             p = poly_from_roots(roots)
             assert p[-1] == 1 and len(p) == len(roots) + 1
             assert all(poly_eval(p, r) == 0 for r in roots)
-
-
-class TestMinimalPolynomial:
-    def test_geometric(self):
-        assert minimal_polynomial([3 * 2**k for k in range(6)]) == [-2, 1]
-
-    def test_zero_sequence(self):
-        assert minimal_polynomial([0] * 6) == [1]
-
-    def test_fibonacci(self):
-        assert minimal_polynomial([0, 1, 1, 2, 3, 5, 8, 13]) == [-1, -1, 1]
-
-    def test_weighted_power_sums(self):
-        # sum over distinct roots r of w_r r^k with nonzero weights has the
-        # minimal polynomial prod (t - r), whatever the weights
-        rng = Random(39)
-        for _ in range(30):
-            roots = rng.sample(range(-6, 10), rng.randint(1, 6))
-            weights = [rng.choice([-3, -1, 1, 2, 5]) for _ in roots]
-            seq = [sum(w * r**k for r, w in zip(roots, weights)) for k in range(2 * len(roots))]
-            assert minimal_polynomial(seq) == poly_from_roots(sorted(roots))
-
-    def test_laplacian_moments_divide_char_poly(self):
-        rng = Random(40)
-        for _ in range(15):
-            g = random_graph(rng, rng.randint(2, 8))
-            lap = np.array(laplacian(g), dtype=object)
-            power, seq = np.eye(g.n, dtype=object), []
-            for _ in range(2 * g.n):
-                seq.append(power[0, 0])
-                power = power @ lap
-            m = minimal_polynomial(seq)
-            psi = char_poly(laplacian(g))
-            assert m[-1] == 1
-            # m divides psi: every root of m is a root of psi, by exact
-            # long division with zero remainder
-            rem = list(psi)
-            for k in range(len(rem) - len(m), -1, -1):
-                q = rem[k + len(m) - 1]
-                for i, c in enumerate(m):
-                    rem[k + i] -= q * c
-            assert not any(rem)
 
 
 class TestCharPoly:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lafr.campaigns import all_graph_masks, mask_to_graph
+from lafr.campaigns import mask_to_graph
 from lafr.graphs import (
     Graph,
     GraphFormatError,
@@ -30,7 +30,6 @@ from lafr.graphs import (
     parse_edgelist,
     parse_graph6,
     path_graph,
-    spanning_tree_count,
     standard_graph,
     sylvester_hadamard,
     threshold_graph,
@@ -38,10 +37,12 @@ from lafr.graphs import (
 )
 from conftest import (
     Orientation,
+    all_graph_masks,
     default_orientation,
     eccentricity,
     random_graph,
     signed_incidence,
+    spanning_tree_count,
 )
 
 

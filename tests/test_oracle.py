@@ -23,7 +23,6 @@ from lafr.graphs import (
     is_connected,
     laplacian,
     path_graph,
-    spanning_tree_count,
     sylvester_hadamard,
 )
 from lafr.reporting import build_analysis_report
@@ -314,9 +313,7 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             check_vertices(empty_graph(0), 0)
 
-    @pytest.mark.parametrize(
-        "fn", [eigenvalue_support, is_periodic, distances, spanning_tree_count]
-    )
+    @pytest.mark.parametrize("fn", [eigenvalue_support, is_periodic, distances])
     def test_vertex_entry_points(self, fn):
         for v in (-1, 3):
             with pytest.raises(ValueError):

@@ -145,8 +145,12 @@ class TestDecide:
         assert all(mu % d.g == 0 for mu in d.partition.minus)
 
     def test_small_graph_signals(self):
-        with pytest.raises(SpecialSmallGraphError):
+        # the isolated edge is the one small-graph rule; O2's pair goes
+        # through the characterization like any other
+        with pytest.raises(SpecialSmallGraphError, match="isolated edge"):
             decide_proper_lafr(path_graph(2), 0, 1)
+        d = decide_proper_lafr(empty_graph(2), 0, 1)
+        assert d.status is RevivalStatus.NOT_STRONGLY_COSPECTRAL
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -188,8 +192,10 @@ class TestAllPairs:
         assert pairs == sorted(pairs)
 
     def test_small_graph_signals(self):
-        with pytest.raises(SpecialSmallGraphError):
-            all_lafr_pairs(path_graph(2))
+        # K2's pair is an isolated edge, skipped; the others have no
+        # strongly cospectral pair
+        for g in (empty_graph(0), empty_graph(1), empty_graph(2), complete_graph(2)):
+            assert all_lafr_pairs(g) == []
 
 
 class TestEarliestCommonTime:

@@ -89,9 +89,8 @@ class TestIdempotents:
 
 class TestEigenvalueSupport:
     def test_p3_end(self):
-        sup = eigenvalue_support(path_graph(3), 0)
-        assert sup.integer_eigenvalues == {0, 1, 3}
-        assert sup.all_integer and support_size(path_graph(3), 0) == 3
+        assert eigenvalue_support(path_graph(3), 0) == {0, 1, 3}
+        assert support_size(path_graph(3), 0) == 3
 
     def test_p3_end_columns(self):
         # The support {0, 1, 3} is where the end's eigenprojection columns
@@ -99,18 +98,16 @@ class TestEigenvalueSupport:
         g = path_graph(3)
         cols = {mu: eigenprojection_column(g, mu, 0) for mu in (0, 1, 3)}
         assert all(any(c) for c in cols.values())
-        assert eigenvalue_support(g, 0).integer_eigenvalues == set(cols)
+        assert eigenvalue_support(g, 0) == set(cols)
         assert [sum(xs) for xs in zip(*cols.values())] == [1, 0, 0]
 
     def test_p3_middle(self):
-        sup = eigenvalue_support(path_graph(3), 1)
-        assert sup.integer_eigenvalues == {0, 3}
-        assert sup.all_integer and support_size(path_graph(3), 1) == 2
+        assert eigenvalue_support(path_graph(3), 1) == {0, 3}
+        assert support_size(path_graph(3), 1) == 2
 
     def test_k2(self):
-        sup = eigenvalue_support(path_graph(2), 0)
-        assert sup.integer_eigenvalues == {0, 2}
-        assert sup.all_integer and support_size(path_graph(2), 0) == 2
+        assert eigenvalue_support(path_graph(2), 0) == {0, 2}
+        assert support_size(path_graph(2), 0) == 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -119,40 +116,37 @@ class TestEigenvalueSupport:
             support_size(path_graph(2), 4)
 
     def test_c5(self):
-        sup = eigenvalue_support(cycle_graph(5), 0)
-        assert sup.integer_eigenvalues == {0}
-        assert not sup.all_integer
+        assert eigenvalue_support(cycle_graph(5), 0) is None
 
     def test_non_integer_support_sizes(self):
         # C5: 0 and the two irrational values (5 -+ sqrt 5)/2;
         # P5: 2 - 2cos(k pi/5), all five at an end, k even at the middle
         cases = ((cycle_graph(5), 3, 3), (path_graph(5), 0, 5), (path_graph(5), 2, 3))
         for g, a, size in cases:
-            sup = eigenvalue_support(g, a)
-            assert not sup.all_integer and support_size(g, a) == size
+            assert eigenvalue_support(g, a) is None and support_size(g, a) == size
 
     def test_c4(self):
-        sup = eigenvalue_support(cycle_graph(4), 0)
-        assert sup.integer_eigenvalues == {0, 2, 4}
-        assert sup.all_integer
+        assert eigenvalue_support(cycle_graph(4), 0) == {0, 2, 4}
 
     def test_zero_always_present(self):
         rng = Random(61)
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 8))
             for v in range(g.n):
-                assert 0 in eigenvalue_support(g, v).integer_eigenvalues
+                sup = eigenvalue_support(g, v)
+                assert sup is None or 0 in sup
 
     def test_all_integer_iff_counts_match(self):
-        # the diagonal-sum route (all_integer) against the moment-rank route
+        # the certified route (a support or None) against the moment-rank
+        # route: all-integer exactly when the reference's integer part
+        # is as large as the whole support
         rng = Random(67)
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 8))
             for v in range(g.n):
-                sup = eigenvalue_support(g, v)
-                assert sup.all_integer == (
-                    len(sup.integer_eigenvalues) == support_size(g, v)
-                )
+                integer = {mu for mu, (num, _) in idempotents(g).items() if num[v][v]}
+                full = len(integer) == support_size(g, v)
+                assert eigenvalue_support(g, v) == (integer if full else None)
 
 
 class TestPeriodicity:
@@ -249,8 +243,7 @@ class TestStrongCospectral:
     def test_partition_covers_support(self):
         g = cycle_graph(6)
         part = strong_cospectral(g, 0, 3)
-        sup = eigenvalue_support(g, 0)
-        assert part.plus | part.minus == sup.integer_eigenvalues
+        assert part.plus | part.minus == eigenvalue_support(g, 0)
 
 
 class TestSupportProductDividesTrees:
@@ -281,7 +274,7 @@ def assert_matches_reference(g):
     for a, spec in enumerate(vertex_spectra(g)):
         support = {mu for mu, (num, _) in ref.idempotents.items() if num[a][a]}
         assert (spec is not None) == (a in ref.signs)
-        assert eigenvalue_support(g, a).integer_eigenvalues == support
+        assert eigenvalue_support(g, a) == (support if a in ref.signs else None)
         if spec is None:
             continue
         assert set(spec.support) == support
