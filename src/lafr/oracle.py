@@ -6,8 +6,9 @@ are the spectral decomposition of the Laplacian, the leakage of a vertex
 pair's two rows of the walk operator U(t) = exp(+i t L) over a vector of
 times, grid time scans, and the residual of one column of U(t).  No
 dense U(t) is ever built: a scan precomputes the pair's eigenvector
-products once, reads U(t) only through the pair's rows and refines one
-bracket per leakage dip, and the residual reads U(t) e_a alone.  Pairs
+products once, reads U(t) only through the pair's rows, with time on the
+last axis, and refines one bracket per leakage dip away from the trivial
+dip at t = 0; the residual reads U(t) e_a alone.  Pairs
 pass the one vertex guard, :func:`lafr.graphs.check_vertices`, and a
 PROPER decision, checked by :func:`decision_residual`, counts as
 verified when its residual is at most ``RESIDUAL_TOL``.
@@ -61,22 +62,22 @@ def graph_spectrum(g: Graph) -> Spectrum:
 
 
 def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and the pair's products W of shape (n, 2n - 3).
+    """Eigenvalues and the pair's products W of shape (2n - 3, n).
 
-    With phases P[t, r] = exp(i t mu_r), the columns of P @ W are entries
-    of U(t): first U(t)[a, b], then U(t)[a, j] and U(t)[b, j] for every
-    other vertex j.
+    With phases P[r, t] = exp(i t mu_r), the rows of W @ P are entries of
+    U(t) over the times: first U(t)[a, b], then U(t)[a, j] and U(t)[b, j]
+    for every other vertex j.
     """
     check_vertices(g, a, b)
     spec = graph_spectrum(g)
     v = spec.eigenvectors
     others = [j for j in range(g.n) if j not in (a, b)]
-    w = np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]]).T
+    w = np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]])
     return spec.eigenvalues, w.astype(complex)  # cast once, not per pass
 
 
 def _phases(evals: np.ndarray, times) -> np.ndarray:
-    return np.exp(1j * np.outer(times, evals))  # (T, n)
+    return np.exp(1j * np.outer(evals, times))  # (n, T)
 
 
 def _grid_phases(evals: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -89,13 +90,15 @@ def _grid_phases(evals: np.ndarray, dt: float, steps: int) -> np.ndarray:
     block = math.isqrt(steps)
     coarse = _phases(evals, dt * block * np.arange(steps // block + 1))
     fine = _phases(evals, dt * np.arange(block))
-    return (coarse[:, None, :] * fine).reshape(-1, len(evals))[1 : steps + 1]
+    table = coarse[:, :, None] * fine[:, None, :]  # (n, q, s)
+    return table.reshape(len(evals), -1)[:, 1 : steps + 1]
 
 
 def _leakage(phases: np.ndarray, w: np.ndarray):
-    """Leakage and |beta| at every row of ``phases``, in one pass."""
-    u = np.abs(phases @ w)
-    return u[:, 1:].max(axis=1, initial=0.0), u[:, 0]
+    """Leakage and |beta| at every column (time) of ``phases``, in one
+    pass; U(t)'s pair entries come out (2n - 3, T), time on the last axis."""
+    u = np.abs(w @ phases)
+    return u[1:].max(axis=0, initial=0.0), u[0]
 
 
 def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
@@ -134,13 +137,18 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
     A grid point is a candidate when its leakage is below a coarse gate,
     its |beta| is above 1e-3 and its leakage is no higher than at its grid
     neighbours, so each dip gets one bracket of +-dt around its lowest grid
-    point.  The coarse gate scales with the grid pitch because leakage
+    point.  The first grid point, t = dt, has t = 0 as its left neighbour,
+    where U(0) = I and the leakage is 0 up to the acceptance tolerance: it
+    is a candidate only if its own leakage is that low, so the trivial dip
+    at t = 0 gets no bracket, and a dip within one grid step of it merges
+    with it.  The coarse gate scales with the grid pitch because leakage
     grows linearly when moving away from an exact revival time.  All
     brackets are refined together by 10 steps of 7 probes each; a refined
     time is reported only if its leakage is at most 1e-7 with |beta| above
     1e-3.  U(t) is read only through the pair's rows, in one pass for the
     grid and, when there are candidates, one per refinement step and one
-    for the refined times, however many candidates there are.
+    for the refined times, however many candidates there are; a scan with
+    no gated dip is the one grid pass.
     """
     if steps < 1:
         raise ValueError("need at least one grid step")
@@ -153,6 +161,7 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
     slope = max(1.0, float(evals[-1]))
     gate = max(_LEAK_TOL, slope * dt)
     near = (leak <= gate) & (beta > _BETA_MIN)
+    near[0] &= leak[0] <= _LEAK_TOL  # t = 0 is a dip of leakage 0
     near[1:] &= leak[1:] <= leak[:-1]  # one bracket per dip
     near[:-1] &= leak[:-1] <= leak[1:]
     if not near.any():

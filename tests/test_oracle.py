@@ -181,6 +181,18 @@ class TestPairLeakage:
                 assert abs(bt - abs(u[a, b])) <= 1e-12
 
 
+class TestGridPhases:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 144, 720, 721])
+    def test_matches_direct_phases(self, steps):
+        # the two-table product equals one exponential per grid time
+        evals = oracle.graph_spectrum(random_graph(Random(141), 8)).eigenvalues
+        dt = 2 * math.pi / steps
+        got = oracle._grid_phases(evals, dt, steps)
+        want = oracle._phases(evals, dt * np.arange(1, steps + 1))
+        assert got.shape == want.shape == (len(evals), steps)
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestTimeScan:
     def test_p3_hits_revival_times(self):
         hits = oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 720)
@@ -230,7 +242,7 @@ class TestTimeScan:
         real = oracle._leakage
 
         def counting(phases, w):
-            sizes.append(len(phases))
+            sizes.append(phases.shape[1])  # phases are (n, T)
             return real(phases, w)
 
         monkeypatch.setattr(oracle, "_leakage", counting)
@@ -247,6 +259,21 @@ class TestTimeScan:
         sizes.clear()
         assert oracle.time_scan(path_graph(4), 0, 3, 2 * math.pi, 720) == []
         assert sizes == [720]
+        # an adjacent pair's leakage rises away from t = 0, the left
+        # neighbour of grid point 0 with leakage 0, so grid point 0 is no
+        # dip of its own: no pair of a graph without revival has a gated dip
+        for g in (path_graph(4), cycle_graph(5), path_graph(5)):
+            for a in range(g.n):
+                for b in range(a + 1, g.n):
+                    sizes.clear()
+                    assert oracle.time_scan(g, a, b, 2 * math.pi, 720) == []
+                    assert sizes == [720], (g, a, b)
+
+    def test_revival_on_first_grid_point(self):
+        # grid point 0 is t = dt = 2pi/3, P3's first revival of its ends:
+        # its leakage is 0 like t = 0's, so it keeps its bracket
+        hits = oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 3)
+        assert len(hits) == 1 and abs(hits[0] - 2 * math.pi / 3) <= 1e-6
 
     def test_dip_midway_between_grid_points(self):
         # 2pi/3 = 240.5 dt lies halfway between two grid points; 4pi/3 = 481 dt
