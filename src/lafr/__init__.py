@@ -38,12 +38,10 @@ from .graphs import (
     to_graph6,
 )
 from .revival import (
-    Amplitudes,
     PhaseRational,
     RevivalDecision,
     RevivalStatus,
     all_lafr_pairs,
-    amplitudes_at,
     class_gcd,
     decide_proper_lafr,
     earliest_common_lafr_time,
@@ -65,7 +63,6 @@ __all__ = [
     "RevivalStatus",
     "RevivalDecision",
     "PhaseRational",
-    "Amplitudes",
     "PairPartition",
     "parse_graph6",
     "to_graph6",
@@ -93,6 +90,5 @@ __all__ = [
     "all_lafr_pairs",
     "earliest_common_lafr_time",
     "class_gcd",
-    "amplitudes_at",
     "two_vertex_time_class",
 ]

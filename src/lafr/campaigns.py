@@ -51,7 +51,6 @@ from .revival import (
     isolated_edges,
     proper_time_valid,
 )
-from .spectral import strong_cospectral
 from .trees import MAX_TREE_N, free_trees
 
 @dataclass
@@ -319,10 +318,10 @@ def campaign_constructions() -> CampaignResult:
 
     for side in (2, 4):
         h = hadamard_graph(sylvester_hadamard(side))
-        part = strong_cospectral(h, 0, side * side)
-        # the partition is checked alongside the revival, not counted apart
-        case(f"hadamard n={side} partition", hadamard_partition_check(side, part), 0)
         d = decide_proper_lafr(h, 0, side * side)
+        # the partition is checked alongside the revival, not counted apart
+        part_ok = hadamard_partition_check(side, d.partition)
+        case(f"hadamard n={side} partition", part_ok, 0)
         # class gcd 2n gives perfect state transfer at pi/n between antipodes
         case(
             f"hadamard n={side} revival",

@@ -2,16 +2,16 @@
 
 Everything here is double precision and deliberately separate from the
 exact pipeline, so the two routes can check each other.  The workhorses
-are the spectral decomposition of the Laplacian, the leakage of a vertex
-pair's two rows of the walk operator U(t) = exp(+i t L) over a vector of
-times, grid time scans, and the residual of one column of U(t).  No
-dense U(t) is ever built: a scan precomputes the pair's eigenvector
-products once, reads U(t) only through the pair's rows, with time on the
-last axis, and refines one bracket per leakage dip away from the trivial
-dip at t = 0; the residual reads U(t) e_a alone.  Pairs
-pass the one vertex guard, :func:`lafr.graphs.check_vertices`, and a
-PROPER decision, checked by :func:`decision_residual`, counts as
-verified when its residual is at most ``RESIDUAL_TOL``.
+are the spectral decomposition of the Laplacian, grid time scans, which
+alone read the leakage of a vertex pair's two rows of the walk operator
+U(t) = exp(+i t L) over a vector of times, and the residual of one column
+of U(t).  No dense U(t) is ever built: a scan precomputes the pair's
+eigenvector products once, reads U(t) only through the pair's rows, with
+time on the last axis, and refines one bracket per leakage dip away from
+the trivial dip at t = 0; the residual reads U(t) e_a alone.  Pairs pass
+the one vertex guard, :func:`lafr.graphs.check_vertices`, and a PROPER
+decision, checked by :func:`decision_residual`, counts as verified when
+its residual is at most ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -99,17 +99,6 @@ def _leakage(phases: np.ndarray, w: np.ndarray):
     pass; U(t)'s pair entries come out (2n - 3, T), time on the last axis."""
     u = np.abs(w @ phases)
     return u[1:].max(axis=0, initial=0.0), u[0]
-
-
-def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
-    """Leakage and |beta| of the pair over a vector of times, in one
-    vectorized pass over rows a and b of U(t).
-
-    Leakage is the largest magnitude U(t) carries from a or b to any other
-    vertex (U(t) is symmetric, so rows and columns agree); beta is U(t)[a, b].
-    """
-    evals, w = _pair_rows(g, a, b)
-    return _leakage(_phases(evals, times), w)
 
 
 def _refine_minimum(evals: np.ndarray, w: np.ndarray, lo, hi):

@@ -99,9 +99,7 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     return report
 
 
-def format_time(entry: dict | None) -> str:
-    if entry is None:
-        return "-"
+def format_time(entry: dict) -> str:
     value = entry["num"] / entry["den"] * pi
     return f"{entry['num']}/{entry['den']} pi ({value:.12f})"
 

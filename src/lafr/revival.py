@@ -18,7 +18,9 @@ its identity in integers; the numeric oracle only cross-checks it in tests.
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
 w = exp(2*pi*i*k/g), where k is the common residue of the minus class
-modulo the class gcd g.
+modulo the class gcd g.  A decision carries its phase as the residue pair
+(k, g), and :meth:`PhaseRational.amplitudes` is the one place the two
+amplitudes are made.
 """
 
 from __future__ import annotations
@@ -76,22 +78,10 @@ class PhaseRational:
     def __hash__(self):
         return hash(self.k / self.g)  # equal ratios round to one float
 
-    def as_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.k / self.g)
-
     def amplitudes(self) -> tuple[complex, complex]:
         """The pair amplitudes (1 + w)/2 and (1 - w)/2 for this phase w."""
-        w = self.as_complex()
+        w = cmath.exp(2j * cmath.pi * self.k / self.g)
         return (1 + w) / 2, (1 - w) / 2
-
-
-@dataclass(frozen=True)
-class Amplitudes:
-    """Pair amplitudes (1 + w)/2 and (1 - w)/2 for a revival phase w."""
-
-    omega: PhaseRational
-    alpha: complex
-    beta: complex
 
 
 @dataclass(frozen=True)
@@ -151,10 +141,6 @@ def class_gcd(part: PairPartition) -> int:
         for x in cls[1:]:
             g = gcd(g, x - cls[0])
     return g
-
-
-def amplitudes_at(phase: PhaseRational) -> Amplitudes:
-    return Amplitudes(phase, *phase.amplitudes())
 
 
 def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
@@ -270,13 +256,6 @@ def has_periodic_vertex_at(g: Graph, num: int, den: int) -> bool:
 # structural checkers for the construction families
 
 
-def _product_fiber_proper_at(x: Graph, y: Graph, num: int, den: int) -> bool:
-    """Proper revival on the box product between a pair sharing its
-    first-factor coordinate, at exactly time (num/den)*pi."""
-    prod = cartesian_product(x, y)
-    return any(u // y.n == v // y.n for u, v in _proper_pairs_at(prod, num, den))
-
-
 def check_cartesian_product_rule(
     x: Graph, y: Graph, tau_num: int, tau_den: int
 ) -> bool:
@@ -292,7 +271,8 @@ def check_cartesian_product_rule(
     right = has_periodic_vertex_at(x, tau_num, tau_den) and has_proper_lafr_at(
         y, tau_num, tau_den
     )
-    return _product_fiber_proper_at(x, y, tau_num, tau_den) == right
+    pairs = _proper_pairs_at(cartesian_product(x, y), tau_num, tau_den)
+    return any(u // y.n == v // y.n for u, v in pairs) == right
 
 
 def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:

@@ -7,10 +7,10 @@ corpus.  The helpers below are references and test-only constructions
 that the package itself never calls: the exact kernel, signed incidence
 matrices, eccentricity, the numeric strong-cospectrality probe, the
 dense walk operator U(t) that the oracle's row and column reads are
-checked against, the psi route (characteristic polynomial, integer
-roots and idempotents) that the vertex-local spectra are checked against,
-the spanning-tree count by the matrix-tree theorem, and the bitmask of a
-labeled graph.
+checked against, the pair leakage that the oracle's scan composes, the
+psi route (characteristic polynomial, integer roots and idempotents) that
+the vertex-local spectra are checked against, the spanning-tree count by
+the matrix-tree theorem, and the bitmask of a labeled graph.
 """
 
 import functools
@@ -22,6 +22,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from lafr import oracle
 from lafr.campaigns import campaign_prime_order, mask_to_graph, pair_table
 from lafr.errors import NotApplicableError
 from lafr.graphs import Graph, check_vertices, distances, is_connected, laplacian
@@ -215,6 +216,18 @@ def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bo
         if min(same, opposite) > tol:
             return False
     return True
+
+
+def pair_leakage(g: Graph, a: int, b: int, times: np.ndarray):
+    """Leakage and |beta| of the pair over a vector of times, composed as
+    :func:`lafr.oracle.time_scan` composes them: the pair's rows, their
+    phases, one leakage pass.
+
+    Leakage is the largest magnitude U(t) carries from a or b to any other
+    vertex (U(t) is symmetric, so rows and columns agree); beta is U(t)[a, b].
+    """
+    evals, w = oracle._pair_rows(g, a, b)
+    return oracle._leakage(oracle._phases(evals, times), w)
 
 
 @dataclass(frozen=True)

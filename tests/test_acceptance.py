@@ -35,7 +35,6 @@ from lafr.graphs import (
 from lafr.revival import (
     RevivalStatus,
     all_lafr_pairs,
-    amplitudes_at,
     check_polygamy_conditions,
     decide_proper_lafr,
     PhaseRational,
@@ -49,12 +48,12 @@ def _proper_pairs(g: Graph):
 
 def _oracle_sweep(g: Graph, decision) -> None:
     """Criterion-6 checks for one proper decision."""
-    amp = amplitudes_at(decision.phase)
+    alpha, beta = decision.phase.amplitudes()
     tau = math.pi * decision.earliest_time[0] / decision.earliest_time[1]
     a, b = decision.pair
-    residual = oracle.revival_residual(g, a, b, tau, amp.alpha, amp.beta)
+    residual = oracle.revival_residual(g, a, b, tau, alpha, beta)
     assert residual <= 1e-9
-    assert abs(abs(amp.alpha) ** 2 + abs(amp.beta) ** 2 - 1) <= 1e-12
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) <= 1e-12
     u = transition_matrix(g, tau).entries
     assert abs(u[a, a] - u[b, b]) <= 1e-9
 
@@ -73,9 +72,9 @@ def test_criterion_1_p3_decision(proper_log):
     assert d.earliest_time == (2, 3)
     assert d.phase == PhaseRational(1, 3)
     assert d.is_pst is False
-    amp = amplitudes_at(d.phase)
+    alpha, beta = d.phase.amplitudes()
     residual = oracle.revival_residual(
-        path_graph(3), 0, 2, 2 * math.pi / 3, amp.alpha, amp.beta
+        path_graph(3), 0, 2, 2 * math.pi / 3, alpha, beta
     )
     assert residual <= 1e-9
     elapsed = time.perf_counter() - start

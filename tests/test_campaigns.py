@@ -366,6 +366,25 @@ class TestBatteryFailures:
         ]
         assert result.corpus_size == 1134
 
+    def test_hadamard_partition_read_from_decision(self, monkeypatch):
+        # swapped classes in the decision's partition must reach the check,
+        # so the battery cannot be reading the partition from anywhere else
+        def swapped(*args):
+            d = decide_proper_lafr(*args)
+            if d.partition is None:
+                return d
+            part = dataclasses.replace(
+                d.partition, plus=d.partition.minus, minus=d.partition.plus
+            )
+            return dataclasses.replace(d, partition=part)
+
+        monkeypatch.setattr(campaigns, "decide_proper_lafr", swapped)
+        result = campaign_constructions()
+        assert result.counterexamples == [
+            "hadamard n=2 partition", "hadamard n=4 partition",
+        ]
+        assert result.corpus_size == 1134
+
 
 class TestCycleWithChords:
     """The four six-vertex graphs built by adding chords to the hexagon."""

@@ -89,6 +89,10 @@ class TestAnalyze:
     def test_parse_error_exit_code(self, capsys):
         assert main(["analyze", "--g6", "##"]) == 2
 
+    def test_shorthand_without_vertices(self, capsys):
+        assert main(["analyze", "--g6", "K0"]) == 2
+        assert "vertex count must be positive" in capsys.readouterr().err
+
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "graph.el"
         path.write_text("3\n0 1\n1 2\n")

@@ -73,6 +73,10 @@ class TestGraphType:
         assert path_graph(2) == Graph.from_edges(2, [(1, 0)])
         assert path_graph(2) != empty_graph(2)
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph(-1, frozenset())
+
 
 class TestGraph6:
     def test_k2_decodes(self):
@@ -113,6 +117,10 @@ class TestGraph6:
     def test_large_header(self):
         g = empty_graph(100)
         assert parse_graph6(to_graph6(g)) == g
+
+    def test_encoder_refuses_beyond_the_longest_header(self):
+        with pytest.raises(ValueError, match="graph too large for graph6"):
+            to_graph6(Graph(2**36, frozenset()))
 
     def test_malformed_character(self):
         with pytest.raises(GraphFormatError) as err:
@@ -256,6 +264,10 @@ class TestSignedIncidence:
 
 
 class TestConstructors:
+    def test_path_needs_one_vertex(self):
+        with pytest.raises(ValueError, match="path needs at least one vertex"):
+            path_graph(0)
+
     def test_complement_k3(self):
         assert complement(complete_graph(3)) == empty_graph(3)
 
@@ -420,8 +432,14 @@ class TestHadamard:
             assert (u < 8) != (v < 8)
 
     def test_rejects_non_hadamard(self):
-        with pytest.raises(ValueError):
-            hadamard_graph([[1, 1], [1, 1]])
+        for h in (
+            [[1, 1], [1, 1]],
+            [[1, 1], [1]],  # ragged
+            [[1, 0], [0, 1]],  # an entry other than +-1
+            [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],  # H H^T = nI
+        ):
+            with pytest.raises(ValueError, match="input is not a Hadamard matrix"):
+                hadamard_graph(h)
 
 
 class TestStandardGraphs:
@@ -498,6 +516,9 @@ class TestDistances:
         assert distances(g, 0) == [0, 1, None, None]
         assert not is_connected(g)
 
+    def test_null_graph_is_connected(self):
+        assert is_connected(empty_graph(0))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             distances(path_graph(2), 5)
@@ -509,6 +530,10 @@ class TestDoubleConeDetection:
 
     def test_p4(self):
         assert is_double_cone(path_graph(4)) is None
+
+    def test_needs_three_vertices(self):
+        with pytest.raises(ValueError):
+            is_double_cone(path_graph(2))
 
     def test_constructed(self):
         assert is_double_cone(double_cone(path_graph(3))) == (0, 1)

@@ -8,7 +8,12 @@ from random import Random
 import numpy as np
 import pytest
 
-from conftest import numeric_strong_cospectral, random_graph, transition_matrix
+from conftest import (
+    numeric_strong_cospectral,
+    pair_leakage,
+    random_graph,
+    transition_matrix,
+)
 from lafr import oracle
 from lafr.graphs import (
     cartesian_product,
@@ -26,7 +31,7 @@ from lafr.graphs import (
     sylvester_hadamard,
 )
 from lafr.reporting import build_analysis_report
-from lafr.revival import RevivalStatus, all_lafr_pairs, amplitudes_at, decide_proper_lafr
+from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
 from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
 
 
@@ -150,21 +155,21 @@ class TestTransitionMatrix:
 class TestPairLeakage:
     def test_p3_revival_block(self):
         g, t = path_graph(3), 2 * math.pi / 3
-        leak, beta = oracle.pair_leakage(g, 0, 2, np.array([t]))
+        leak, beta = pair_leakage(g, 0, 2, np.array([t]))
         assert leak[0] <= 1e-9
         assert abs(beta[0] ** 2 - 0.75) <= 1e-9
         u = transition_matrix(g, t).entries
         assert abs(u[0, 0] - u[2, 2]) <= 1e-9
 
     def test_wrong_pair_leaks(self):
-        leak, _ = oracle.pair_leakage(path_graph(3), 0, 1, np.array([2 * math.pi / 3]))
+        leak, _ = pair_leakage(path_graph(3), 0, 1, np.array([2 * math.pi / 3]))
         assert leak[0] > 0.5
 
     def test_any_pair_at_time_zero(self):
         g = cycle_graph(5)
         for a in range(5):
             for b in range(a + 1, 5):
-                leak, beta = oracle.pair_leakage(g, a, b, np.array([0.0]))
+                leak, beta = pair_leakage(g, a, b, np.array([0.0]))
                 assert leak[0] <= 1e-12 and beta[0] <= 1e-12
 
     def test_matches_transition_matrix_rows(self):
@@ -173,7 +178,7 @@ class TestPairLeakage:
             g = random_graph(rng, rng.randint(3, 12))
             a, b = rng.sample(range(g.n), 2)
             times = np.array([rng.uniform(0, 10) for _ in range(5)])
-            leak, beta = oracle.pair_leakage(g, a, b, times)
+            leak, beta = pair_leakage(g, a, b, times)
             others = [j for j in range(g.n) if j not in (a, b)]
             for t, lk, bt in zip(times, leak, beta):
                 u = transition_matrix(g, t).entries
@@ -360,7 +365,7 @@ class TestPairValidation:
     def test_pair_leakage(self):
         for a, b in self.BAD_PAIRS:
             with pytest.raises(ValueError):
-                oracle.pair_leakage(path_graph(3), a, b, np.array([1.0]))
+                pair_leakage(path_graph(3), a, b, np.array([1.0]))
 
     def test_time_scan(self):
         for a, b in self.BAD_PAIRS:
@@ -407,9 +412,9 @@ class TestDecisionResidual:
         proper = [d for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER]
         assert proper
         for d in proper:
-            amp = amplitudes_at(d.phase)
+            alpha, beta = d.phase.amplitudes()
             tau = math.pi * d.earliest_time[0] / d.earliest_time[1]
-            want = oracle.revival_residual(g, *d.pair, tau, amp.alpha, amp.beta)
+            want = oracle.revival_residual(g, *d.pair, tau, alpha, beta)
             assert oracle.decision_residual(g, d) == want  # bit for bit
             assert want <= oracle.RESIDUAL_TOL
 

@@ -27,7 +27,6 @@ from lafr.revival import (
     RevivalStatus,
     TwoVertexClass,
     all_lafr_pairs,
-    amplitudes_at,
     check_cartesian_product_rule,
     check_complement_transfer,
     check_join_extension,
@@ -76,6 +75,8 @@ class TestPhaseRational:
     def test_normalized_equality(self):
         assert PhaseRational(1, 2) == PhaseRational(2, 4)
         assert PhaseRational(1, 3) != PhaseRational(2, 3)
+        assert PhaseRational(1, 2) != (1, 2)
+        assert len({PhaseRational(1, 2), PhaseRational(2, 4)}) == 1  # hash agrees
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -84,23 +85,23 @@ class TestPhaseRational:
 
 class TestAmplitudes:
     def test_pst_phase(self):
-        amp = amplitudes_at(PhaseRational(1, 2))
-        assert abs(amp.alpha) < 1e-15 and abs(amp.beta - 1) < 1e-15
+        alpha, beta = PhaseRational(1, 2).amplitudes()
+        assert abs(alpha) < 1e-15 and abs(beta - 1) < 1e-15
 
     def test_trivial_phase(self):
-        amp = amplitudes_at(PhaseRational(0, 1))
-        assert abs(amp.alpha - 1) < 1e-15 and abs(amp.beta) < 1e-15
+        alpha, beta = PhaseRational(0, 1).amplitudes()
+        assert abs(alpha - 1) < 1e-15 and abs(beta) < 1e-15
 
     def test_third_phase(self):
-        amp = amplitudes_at(PhaseRational(1, 3))
-        assert abs(abs(amp.alpha) ** 2 - 0.25) < 1e-12
-        assert abs(abs(amp.beta) ** 2 - 0.75) < 1e-12
+        alpha, beta = PhaseRational(1, 3).amplitudes()
+        assert abs(abs(alpha) ** 2 - 0.25) < 1e-12
+        assert abs(abs(beta) ** 2 - 0.75) < 1e-12
 
     def test_unitarity_identity(self):
         for g in range(1, 12):
             for k in range(g):
-                amp = amplitudes_at(PhaseRational(k, g))
-                assert abs(abs(amp.alpha) ** 2 + abs(amp.beta) ** 2 - 1) < 1e-12
+                alpha, beta = PhaseRational(k, g).amplitudes()
+                assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) < 1e-12
 
 
 class TestDecide:
@@ -378,6 +379,10 @@ class TestJoinTiming:
         with pytest.raises(NotApplicableError):
             check_join_timing(cycle_graph(6))
 
+    def test_needs_three_vertices(self):
+        with pytest.raises(NotApplicableError):
+            check_join_timing(path_graph(2))
+
     def test_random_joins(self):
         rng = Random(83)
         for _ in range(10):
@@ -409,6 +414,8 @@ class TestJoinExtension:
     def test_hypothesis_violation(self):
         with pytest.raises(NotApplicableError):
             check_join_extension(path_graph(3), (0, 2), complete_graph(4))
+        with pytest.raises(NotApplicableError, match="base pair does not admit"):
+            check_join_extension(path_graph(4), (0, 3), complete_graph(4))
 
 
 class TestPolygamyConditions:
@@ -442,12 +449,12 @@ class TestSoundnessSmall:
             for d in all_lafr_pairs(g):
                 if d.status is not RevivalStatus.PROPER:
                     continue
-                amp = amplitudes_at(d.phase)
+                alpha, beta = d.phase.amplitudes()
                 tau = math.pi * d.earliest_time[0] / d.earliest_time[1]
                 res = oracle.revival_residual(
-                    g, d.pair[0], d.pair[1], tau, amp.alpha, amp.beta
+                    g, d.pair[0], d.pair[1], tau, alpha, beta
                 )
                 assert res <= 1e-9
-                assert abs(amp.beta) >= 1e-9
+                assert abs(beta) >= 1e-9
                 checked += 1
         assert checked >= 3

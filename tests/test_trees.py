@@ -28,6 +28,10 @@ class TestRootedEnumeration:
     def test_rooted_counts(self, n):
         assert sum(1 for _ in rooted_level_sequences(n)) == ROOTED_TREE_COUNTS[n - 1]
 
+    def test_needs_one_vertex(self):
+        with pytest.raises(ValueError):
+            next(rooted_level_sequences(0))
+
     def test_sequences_start_with_path(self):
         first = next(rooted_level_sequences(5))
         assert first == (0, 1, 2, 3, 4)
