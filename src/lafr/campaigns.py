@@ -226,7 +226,7 @@ def _battery_joins(rng: Random) -> list[Graph]:
     while len(joins) < 20:
         nx_ = rng.randint(1, 5)
         ny_ = rng.randint(1, 5)
-        if nx_ + ny_ > 10 or nx_ + ny_ < 3:
+        if nx_ + ny_ < 3:
             continue
         x = mask_to_graph(nx_, rng.randrange(1 << (nx_ * (nx_ - 1) // 2)))
         y = mask_to_graph(ny_, rng.randrange(1 << (ny_ * (ny_ - 1) // 2)))

@@ -205,15 +205,7 @@ def sylvester_hadamard(k: int) -> list[list[int]]:
         raise ValueError("order exponent must be between 0 and 12")
     h = [[1]]
     for _ in range(k):
-        size = len(h)
-        new = [[0] * (2 * size) for _ in range(2 * size)]
-        for i in range(size):
-            for j in range(size):
-                new[i][j] = h[i][j]
-                new[i][j + size] = h[i][j]
-                new[i + size][j] = h[i][j]
-                new[i + size][j + size] = -h[i][j]
-        h = new
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
     return h
 
 

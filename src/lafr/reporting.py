@@ -12,7 +12,7 @@ import time
 from math import pi
 
 from . import __version__, oracle
-from .graphs import Graph, check_vertices, to_graph6
+from .graphs import Graph, to_graph6
 from .revival import (
     TWO_VERTEX_SCHEDULE,
     RevivalDecision,
@@ -80,8 +80,6 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     follow the two-vertex schedule instead of the characterization; an
     explicit pair that is one raises ``SpecialSmallGraphError``.
     """
-    for a, b in pairs or ():
-        check_vertices(g, a, b)
     start = time.perf_counter()
     found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in pairs]
     decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])

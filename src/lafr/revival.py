@@ -90,9 +90,17 @@ class RevivalDecision:
     pair: tuple[int, int]
     partition: PairPartition | None = None
     g: int | None = None
-    earliest_time: PiRational | None = None
     phase: PhaseRational | None = None
-    is_pst: bool | None = None
+
+    @property
+    def earliest_time(self) -> PiRational | None:
+        """The earliest revival time 2*pi/g, for a decision with a phase."""
+        return None if self.phase is None else two_pi_over(self.g)
+
+    @property
+    def is_pst(self) -> bool | None:
+        """Whether the revival is perfect state transfer: phase k/g = 1/2."""
+        return None if self.phase is None else 2 * self.phase.k == self.g
 
 
 TWO_VERTEX_SCHEDULE = (
@@ -108,6 +116,8 @@ def two_pi_over(g: int) -> PiRational:
 
 def _on_grid(num: int, den: int, g: int) -> bool:
     """Whether (num/den)*pi is an integer multiple of 2*pi/g."""
+    if den == 0:
+        raise ValueError("time denominator must be nonzero")
     return num * g % (2 * den) == 0
 
 
@@ -128,19 +138,13 @@ def isolated_edges(g: Graph) -> list[tuple[int, int]]:
 
 def class_gcd(part: PairPartition) -> int:
     """gcd of the within-class eigenvalue differences of the partition."""
-    plus = sorted(part.plus)
-    minus = sorted(part.minus)
-    if len(plus) < 2 and len(minus) < 2:
+    if len(part.plus) < 2 and len(part.minus) < 2:
         # singleton classes happen exactly when {a, b} is an isolated edge
         raise SpecialSmallGraphError(
             f"pair {part.a},{part.b} is an isolated edge: it follows the "
             "two-vertex schedule (see two_vertex_time_class)"
         )
-    g = 0
-    for cls in (plus, minus):
-        for x in cls[1:]:
-            g = gcd(g, x - cls[0])
-    return g
+    return gcd(*(x - low for cls in (part.plus, part.minus) for low in [min(cls)] for x in cls))
 
 
 def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
@@ -168,13 +172,7 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     if k == 0:
         return RevivalDecision(RevivalStatus.PERIODIC_ONLY, pair, partition=part, g=gg)
     return RevivalDecision(
-        RevivalStatus.PROPER,
-        pair,
-        partition=part,
-        g=gg,
-        earliest_time=two_pi_over(gg),
-        phase=PhaseRational(k, gg),
-        is_pst=(2 * k == gg),
+        RevivalStatus.PROPER, pair, partition=part, g=gg, phase=PhaseRational(k, gg)
     )
 
 

@@ -402,6 +402,10 @@ class TestHadamard:
     def test_sylvester_orders(self):
         assert sylvester_hadamard(0) == [[1]]
         assert sylvester_hadamard(1) == [[1, 1], [1, -1]]
+        for k in range(7):
+            # the k-fold tensor power of [[1, 1], [1, -1]]
+            want = [[(-1) ** (i & j).bit_count() for j in range(1 << k)] for i in range(1 << k)]
+            assert sylvester_hadamard(k) == want, k
 
     def test_sylvester_orthogonality(self):
         h = sylvester_hadamard(2)

@@ -175,6 +175,12 @@ class TestTwoVertexSchedule:
         assert two_vertex_time_class(2, 3) is TwoVertexClass.PROPER
         assert two_vertex_time_class(1, 7) is TwoVertexClass.PROPER
 
+    def test_zero_denominator_is_no_time(self):
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
+            two_vertex_time_class(1, 0)
+        with pytest.raises(ValueError, match="denominator must be nonzero"):
+            check_complement_transfer(cycle_graph(4), 1, 0)
+
 
 class TestAllPairs:
     def test_c6_antipodal_triples(self):
