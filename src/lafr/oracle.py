@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,39 +25,19 @@ from .graphs import Graph, check_vertices, laplacian
 
 RESIDUAL_TOL = 1e-9  # largest residual of a verified revival
 _EIGH_MAX_N = 2000
-_SYMMETRY_TOL = 1e-12
 _LEAK_TOL = 1e-7  # largest leakage of a reported revival time
 _BETA_MIN = 1e-3  # smallest |beta| of a reported revival time
 _REFINE_STEPS = 10  # refinement steps per candidate time
 _REFINE_PROBES = 7  # probes per bracket and step
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
-def eigh(m) -> Spectrum:
-    """Spectral decomposition of a real symmetric matrix.
-
-    Deterministic for fixed input; rejects asymmetric or oversized input.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix is not square")
-    if a.shape[0] > _EIGH_MAX_N:
-        raise ValueError("matrix too large for the dense eigensolver")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if a.size and float(np.abs(a - a.T).max()) > _SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    evals, evecs = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=evals, eigenvectors=evecs)
-
-
 @functools.lru_cache(maxsize=512)
-def graph_spectrum(g: Graph) -> Spectrum:
-    return eigh(laplacian(g))
+def graph_spectrum(g: Graph):
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
+    Laplacian, as numpy's ``eigh`` returns them."""
+    if g.n > _EIGH_MAX_N:
+        raise ValueError(f"graph with {g.n} vertices too large for the dense eigensolver")
+    return np.linalg.eigh(np.array(laplacian(g), dtype=float))
 
 
 def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,11 +48,10 @@ def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     for every other vertex j.
     """
     check_vertices(g, a, b)
-    spec = graph_spectrum(g)
-    v = spec.eigenvectors
+    evals, v = graph_spectrum(g)
     others = [j for j in range(g.n) if j not in (a, b)]
     w = np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]])
-    return spec.eigenvalues, w.astype(complex)  # cast once, not per pass
+    return evals, w.astype(complex)  # cast once, not per pass
 
 
 def _phases(evals: np.ndarray, times) -> np.ndarray:
@@ -178,9 +156,8 @@ def revival_residual(
     if not np.isfinite(tau):
         raise ValueError("time must be finite")
     check_vertices(g, a, b)
-    spec = graph_spectrum(g)
-    v = spec.eigenvectors
-    column = v @ (np.exp(1j * tau * spec.eigenvalues) * v[a])
+    evals, v = graph_spectrum(g)
+    column = v @ (np.exp(1j * tau * evals) * v[a])
     column[a] -= alpha
     column[b] -= beta
     return float(np.abs(column).max())

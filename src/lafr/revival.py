@@ -165,10 +165,7 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
     if part is None:
         return RevivalDecision(RevivalStatus.NOT_STRONGLY_COSPECTRAL, pair)
     gg = class_gcd(part)
-    residues = {mu % gg for mu in part.minus}
-    k = residues.pop()
-    if residues:
-        raise AssertionError("minus class must share one residue modulo g")
+    k = min(part.minus) % gg  # gg divides every within-class difference
     if k == 0:
         return RevivalDecision(RevivalStatus.PERIODIC_ONLY, pair, partition=part, g=gg)
     return RevivalDecision(

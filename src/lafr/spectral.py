@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
 from .errors import NonIntegerSupportError
@@ -110,17 +110,16 @@ def _binomial_inverse(n: int, p: int):
     """T[j, mu] = (-1)^(j-mu) C(j, mu) / j! mod p, for 0 <= mu <= j <= n.
 
     If d_j = sum_mu w_mu mu (mu-1)...(mu-j+1) for weights w on {0..n}, then
-    w = d T (binomial inversion of d_j / j! = sum_mu C(mu, j) w_mu).
+    w = d T (binomial inversion of d_j / j! = sum_mu C(mu, j) w_mu).  Pascal's
+    rule builds it a row at a time: T[j, mu] = (T[j-1, mu-1] - T[j-1, mu]) / j.
     """
     import numpy as np
 
     t = np.zeros((n + 1, n + 1))
-    inv_fact = 1  # 1 / j! mod p
-    for j in range(n + 1):
-        if j:
-            inv_fact = inv_fact * pow(j, -1, p) % p
-        for mu in range(j + 1):
-            t[j, mu] = (-1) ** (j - mu) * comb(j, mu) * inv_fact % p
+    t[0, 0] = 1
+    for j in range(1, n + 1):
+        t[j, 1:] = t[j - 1, :-1]
+        t[j] = (t[j] - t[j - 1]) * pow(j, -1, p) % p  # below p^2 < 2^53: exact
     return t
 
 

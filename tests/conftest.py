@@ -205,9 +205,8 @@ def numeric_strong_cospectral(g: Graph, a: int, b: int, tol: float = 1e-8) -> bo
     """
     if not 0 < tol <= 1e-6:
         raise ValueError("tolerance must lie in (0, 1e-6]")
-    spec = graph_spectrum(g)
-    v = spec.eigenvectors
-    for cluster in cluster_eigenvalues(spec.eigenvalues):
+    evals, v = graph_spectrum(g)
+    for cluster in cluster_eigenvalues(evals):
         block = v[:, cluster]
         col_a = block @ block[a]
         col_b = block @ block[b]
@@ -240,9 +239,8 @@ def transition_matrix(g: Graph, t: float) -> TransitionMatrix:
     """U(t) = sum_r exp(i t mu_r) F_r, accumulated from the eigenpairs."""
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    spec = graph_spectrum(g)
-    phases = np.exp(1j * t * spec.eigenvalues)
-    v = spec.eigenvectors
+    evals, v = graph_spectrum(g)
+    phases = np.exp(1j * t * evals)
     entries = (v * phases) @ v.T
     return TransitionMatrix(time=float(t), entries=entries)
 

@@ -200,6 +200,15 @@ class TestAnalyze:
             captured = capsys.readouterr()
             assert captured.out == "" and "distinct vertices" in captured.err
 
+    def test_pair_on_empty_graph(self, capsys):
+        # "?" is the graph on no vertices: no pair names two of its vertices
+        assert main(["analyze", "--g6", "?", "--pairs", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: need distinct vertices in a graph with no vertices, got [0, 1]\n"
+        )
+
 
 class TestSizeLimit:
     """analyze and periodic refuse more than 500 vertices with exit 2; a

@@ -86,7 +86,8 @@ class TestLaplacianInvariants:
                 for j in range(g.n):
                     assert lap[i][j] == lap[j][i]
             if g.n:
-                assert oracle.graph_spectrum(g).eigenvalues.min() >= -1e-9
+                evals, _ = oracle.graph_spectrum(g)
+                assert evals.min() >= -1e-9
 
     def test_incidence_identity(self, corpus):
         for g in corpus:
@@ -117,7 +118,8 @@ class TestMatrixTreeInvariants:
             if not is_connected(g):
                 assert spanning_tree_count(g) == 0
                 continue
-            evals = oracle.graph_spectrum(g).eigenvalues[1:]  # drop the zero
+            evals, _ = oracle.graph_spectrum(g)
+            evals = evals[1:]  # drop the zero
             product = float(np.prod(evals)) if g.n > 1 else 1.0
             expect = g.n * spanning_tree_count(g)
             assert abs(product - expect) <= 1e-6 * max(1.0, expect)
@@ -135,7 +137,8 @@ class TestSupportInvariants:
         for g in corpus[::7]:
             psi = char_poly(laplacian(g))
             scale = max(1.0, max(abs(c) for c in psi))
-            for mu in oracle.graph_spectrum(g).eigenvalues:
+            evals, _ = oracle.graph_spectrum(g)
+            for mu in evals:
                 value = sum(c * mu**k for k, c in enumerate(psi))
                 assert abs(value) < 1e-6 * scale
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, factorial, prod
 from pathlib import Path
 from random import Random
 
@@ -76,13 +76,11 @@ class TestIdempotents:
         rng = Random(79)
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 10))
-            spec = oracle.graph_spectrum(g)
-            clusters = cluster_eigenvalues(spec.eigenvalues)
+            evals, v = oracle.graph_spectrum(g)
+            clusters = cluster_eigenvalues(evals)
             for mu, (num, den) in idempotents(g).items():
-                [cluster] = [
-                    c for c in clusters if abs(spec.eigenvalues[c[0]] - mu) < 1e-6
-                ]
-                vc = spec.eigenvectors[:, cluster]
+                [cluster] = [c for c in clusters if abs(evals[c[0]] - mu) < 1e-6]
+                vc = v[:, cluster]
                 exact = np.array([[float(Fraction(x, den)) for x in row] for row in num])
                 assert np.max(np.abs(exact - vc @ vc.T)) < 1e-9
 
@@ -448,6 +446,18 @@ class TestScreenBound:
     def test_largest_exact_order(self):
         p = spectral.PRIME
         assert 9007 * (p - 1) ** 2 < 2**53 <= 9008 * (p - 1) ** 2
+
+
+class TestBinomialInverse:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_closed_form(self, n):
+        # T[j, mu] = (-1)^(j-mu) C(j, mu) / j! mod p, zero above the diagonal
+        p = spectral.PRIME
+        want = [
+            [(-1) ** (j - mu) * comb(j, mu) * pow(factorial(j), -1, p) % p for mu in range(n + 1)]
+            for j in range(n + 1)
+        ]
+        assert spectral._binomial_inverse(n, p).tolist() == want
 
 
 class TestOnePass:
