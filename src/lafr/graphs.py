@@ -216,12 +216,11 @@ def is_hadamard_matrix(h: list[list[int]]) -> bool:
         return False
     if any(e not in (1, -1) for row in h for e in row):
         return False
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(h[i][k] * h[j][k] for k in range(n))
-            if dot != (n if i == j else 0):
-                return False
-    return True
+    import numpy as np
+
+    # exact in int64: every entry of H H^T is at most n in absolute value
+    m = np.array(h, dtype=np.int64).reshape(n, n)
+    return bool((m @ m.T == n * np.eye(n, dtype=np.int64)).all())
 
 
 def hadamard_graph(h: list[list[int]]) -> Graph:

@@ -13,7 +13,7 @@ verdict touches floating point.  The one small-graph rule is the isolated
 edge: :func:`class_gcd` raises ``SpecialSmallGraphError`` for such a pair,
 and the scan skips it; every other pair on any number of vertices goes
 through the characterization.  The complement-transfer checker decides
-its identity in integers; the numeric oracle only cross-checks it in tests.
+its identity from edge sets; the numeric oracle only cross-checks it in tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -39,9 +39,8 @@ from .graphs import (
     complement,
     is_connected,
     join,
-    laplacian,
 )
-from .spectral import PairPartition, is_periodic, strong_cospectral, vertex_spectra
+from .spectral import PairPartition, strong_cospectral, vertex_spectra
 
 PiRational = tuple[int, int]  # (p, q) in lowest terms, meaning (p/q) * pi
 
@@ -239,12 +238,8 @@ def has_periodic_vertex_at(g: Graph, num: int, den: int) -> bool:
     """Whether some vertex is periodic at exactly time (num/den)*pi."""
     if num * den <= 0:
         raise ValueError("time must be positive")
-    for v in range(g.n):
-        per = is_periodic(g, v)
-        # a periodic vertex without G has support {0}: fixed at all times
-        if per.periodic and (per.big_g is None or _on_grid(num, den, per.big_g)):
-            return True
-    return False
+    # a support of {0} alone has gcd 0, and every time lies on the 0 grid
+    return any(s is not None and _on_grid(num, den, gcd(*s.support)) for s in vertex_spectra(g))
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +271,13 @@ def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:
     Applicable when n*tau is a multiple of 2*pi.  Since L + L-complement
     = nI - J and J commutes with L, exp(i*tau*L-complement) =
     exp(i*tau*n) exp(-i*tau*J) exp(-i*tau*L), and both leading factors are
-    the identity on that time grid.  The sum of the two Laplacians is
-    checked against nI - J in integers.
+    the identity on that time grid.  As L(K_n) = nI - J and L adds over
+    edge-disjoint graphs, L + L-complement = nI - J exactly when the edge sets partition E(K_n).
     """
     if not _on_grid(tau_num, tau_den, x.n):
         raise NotApplicableError("n * tau must be a multiple of 2*pi")
-    total = [
-        [u + v for u, v in zip(row, row_c)]
-        for row, row_c in zip(laplacian(x), laplacian(complement(x)))
-    ]
-    return total == [[x.n * (i == j) - 1 for j in range(x.n)] for i in range(x.n)]
+    comp = complement(x).edges
+    return x.edges.isdisjoint(comp) and len(x.edges | comp) == x.n * (x.n - 1) // 2
 
 
 def check_join_timing(z: Graph) -> bool:
@@ -340,14 +332,11 @@ def check_polygamy_conditions(
         raise ValueError("all four gcd parameters must be positive")
     t1 = gcd(g, big_h)
     t2 = gcd(h, big_g)
-    x_proper = big_g % t1 != 0  # revival on the first factor not yet periodic
-    y_periodic = big_h % t1 == 0
-    y_proper = big_h % t2 != 0
-    x_periodic = big_g % t2 == 0
     return PolygamyCheck(
         lafr_x_per_y_time=two_pi_over(t1),
         lafr_y_per_x_time=two_pi_over(t2),
-        ok=x_proper and y_periodic and y_proper and x_periodic,
+        # t1 | big_h and t2 | big_g: the partner factor is always periodic
+        ok=big_g % t1 != 0 and big_h % t2 != 0,
     )
 
 

@@ -103,6 +103,19 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["graph"]["graph6"] == to_graph6(path_graph(3))
 
+    @pytest.mark.parametrize("prefix", ["", ">>graph6<<"], ids=["bare", "header"])
+    def test_graph6_file_matches_token(self, tmp_path, capsys, prefix):
+        def report(argv):
+            assert main([*argv, "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            out.pop("runtime_seconds")
+            return out
+
+        g6 = to_graph6(cycle_graph(6))
+        path = tmp_path / "c6.g6"
+        path.write_text(f"{prefix}{g6}\n")
+        assert report(["analyze", "--file", str(path)]) == report(["analyze", "--g6", g6])
+
     def test_empty_graph6_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("\n")

@@ -408,8 +408,11 @@ class TestHadamard:
             assert sylvester_hadamard(k) == want, k
 
     def test_sylvester_orthogonality(self):
-        h = sylvester_hadamard(2)
-        assert is_hadamard_matrix(h)
+        for k in range(9):
+            assert is_hadamard_matrix(sylvester_hadamard(k)), k
+        h = sylvester_hadamard(3)
+        h[5][2] = -h[5][2]  # row 5 is no longer orthogonal to any other row
+        assert not is_hadamard_matrix(h)
 
     def test_sylvester_guard(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -297,6 +298,9 @@ class TestTimeMembership:
         assert has_periodic_vertex_at(cycle_graph(4), 1, 1)
         assert has_periodic_vertex_at(path_graph(3), 2, 3)  # middle vertex, G = 3
         assert not has_periodic_vertex_at(path_graph(2), 2, 3)
+        # an isolated vertex has support {0}: the walk fixes it at every time
+        assert has_periodic_vertex_at(disjoint_union(path_graph(2), empty_graph(1)), 1, 7)
+        assert not has_periodic_vertex_at(path_graph(2), 1, 7)
 
     def test_proper_lafr_times(self):
         assert has_proper_lafr_at(path_graph(3), 2, 3)
@@ -373,6 +377,16 @@ class TestComplementTransfer:
         assert not check_complement_transfer(x, 1, 3)
         assert not self._oracle_identity(x, short, 1, 3)
 
+    def test_complement_overlapping_x_rejected(self, monkeypatch):
+        # add one edge of x to the complement: the two edge sets still cover
+        # every pair, but L + L-complement counts that edge twice
+        x = cycle_graph(6)
+        xbar = complement(x)
+        extra = Graph(xbar.n, xbar.edges | {min(x.edges)})
+        monkeypatch.setattr(revival, "complement", lambda g: extra if g == x else complement(g))
+        assert not check_complement_transfer(x, 1, 3)
+        assert not self._oracle_identity(x, extra, 1, 3)
+
 
 class TestJoinTiming:
     def test_double_cone_divides(self):
@@ -434,6 +448,16 @@ class TestPolygamyConditions:
 
     def test_p3_with_itself_fails(self):
         assert not check_polygamy_conditions(3, 3, 1, 1).ok
+
+    def test_four_condition_form(self):
+        # the paper's form, written out: each factor revives, not yet
+        # periodic, while its partner is periodic, at both times
+        for g, h, big_g, big_h in product(range(1, 31), repeat=4):
+            t1, t2 = math.gcd(g, big_h), math.gcd(h, big_g)
+            want = (
+                big_g % t1 != 0 and big_h % t1 == 0 and big_h % t2 != 0 and big_g % t2 == 0
+            )
+            assert check_polygamy_conditions(g, h, big_g, big_h).ok == want, (g, h, big_g, big_h)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
