@@ -130,7 +130,8 @@ def isomorphism_classes(p: int) -> tuple[np.ndarray, np.ndarray]:
     keys = np.zeros(1, dtype=np.int32)  # the one graph on one vertex
     for n in range(2, p + 1):
         low = np.arange(1 << (n - 1))
-        keys = np.unique([canonical_masks(n, (k << (n - 1)) | low) for k in keys])
+        found = {c for k in keys for c in canonical_masks(n, (k << (n - 1)) | low).tolist()}
+        keys = np.array(sorted(found), dtype=np.int32)
     orbits = factorial(p) // np.array([(relabelings(p, [k]) == k).sum() for k in keys])
     total = 1 << (p * (p - 1) // 2)
     if orbits.sum() != total:
@@ -199,7 +200,7 @@ def campaign_prime_order(p: int) -> CampaignResult:
     counterexamples = sorted(
         to_graph6(g) for g, pos in zip(graphs, positive) if pos and is_double_cone(g) is None
     )
-    sample = np.unique(relabelings(p, classes[positive]))[:16]
+    sample = sorted(set(relabelings(p, classes[positive]).ravel().tolist()))[:16]
     return CampaignResult(
         name=f"prime{p}",
         corpus_size=int(orbits.sum()),
@@ -209,7 +210,7 @@ def campaign_prime_order(p: int) -> CampaignResult:
             "connected_graphs": int(orbits[connected].sum()),
             "connected_classes": int(connected.sum()),
             "positives": int(orbits[positive].sum()),
-            "positive_masks_sample": sample.tolist(),
+            "positive_masks_sample": sample,
             "classes": len(classes),
             "positive_classes": int(positive.sum()),
         },

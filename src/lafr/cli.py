@@ -122,6 +122,9 @@ def _cmd_construct(args) -> int:
         needs = {"double-cone": "over", "hadamard": "sylvester"}.get(name)
         if needs and getattr(args, needs) is None:
             raise ValueError(f"{name} needs --{needs}")
+        arity = 0 if needs else 2 if name in ("cartesian", "join", "union") else 1
+        if len(params) != arity:
+            raise ValueError(f"parameter count for {name} is {arity}, got {len(params)}")
         # The order is read from the inputs, so nothing too large is built.
         if name in ("path", "cycle", "complete", "empty"):
             n, build = int(params[0]), lambda: standard_graph(name, n)
@@ -143,7 +146,7 @@ def _cmd_construct(args) -> int:
             build = lambda: hadamard_graph(sylvester_hadamard(k))
         _check_order(n)
         g = build()
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         print(f"bad constructor parameters: {exc}", file=sys.stderr)
         return 2
     print(to_graph6(g))

@@ -154,8 +154,7 @@ def disjoint_union(x: Graph, y: Graph) -> Graph:
 def join(x: Graph, y: Graph) -> Graph:
     """All of ``x``, all of ``y`` shifted by ``x.n``, plus every cross edge."""
     cross = ((u, v + x.n) for u in range(x.n) for v in range(y.n))
-    base = disjoint_union(x, y)
-    return Graph.from_edges(base.n, list(base.edges) + list(cross))
+    return Graph.from_edges(x.n + y.n, [*disjoint_union(x, y).edges, *cross])
 
 
 def cartesian_product(x: Graph, y: Graph) -> Graph:
@@ -185,19 +184,16 @@ def threshold_graph(ms: list[int]) -> Graph:
     Starts from the edgeless graph on ``ms[0]`` vertices, joins a complete
     graph on ``ms[1]``, unions an edgeless graph on ``ms[2]``, and so on.
     Vertex order is construction order, so the first ``ms[0]`` indices are
-    the initial edgeless block.
+    the initial edgeless block.  With parts numbered from 0, a vertex of part i
+    is adjacent to every earlier vertex exactly when part i was joined (i odd).
     """
     if len(ms) < 2 or len(ms) % 2 != 0:
         raise ValueError("threshold parameters must be a non-empty even-length list")
     if any(m < 1 for m in ms):
         raise ValueError("threshold parameters must be positive")
-    g = empty_graph(ms[0])
-    for i, m in enumerate(ms[1:], start=1):
-        if i % 2 == 1:
-            g = join(g, complete_graph(m))
-        else:
-            g = disjoint_union(g, empty_graph(m))
-    return g
+    part = [i for i, m in enumerate(ms) for _ in range(m)]
+    edges = ((u, v) for v, i in enumerate(part) if i % 2 for u in range(v))
+    return Graph.from_edges(len(part), edges)
 
 
 def sylvester_hadamard(k: int) -> list[list[int]]:
@@ -235,16 +231,11 @@ def hadamard_graph(h: list[list[int]]) -> Graph:
     if not is_hadamard_matrix(h):
         raise ValueError("input is not a Hadamard matrix")
     n = len(h)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if h[i][j] == 1:
-                edges.append((i, 2 * n + j))
-                edges.append((n + i, 3 * n + j))
-            else:
-                edges.append((i, 3 * n + j))
-                edges.append((n + i, 2 * n + j))
-    return Graph.from_edges(4 * n, edges)
+    # (k, sign) is vertex k + n * [sign < 0]; row (i, s) meets column (j, s * h[i][j])
+    return Graph.from_edges(4 * n, (
+        (i + n * (s < 0), 2 * n + j + n * (s * h[i][j] < 0))
+        for i in range(n) for j in range(n) for s in (1, -1)
+    ))
 
 
 # ---------------------------------------------------------------------------

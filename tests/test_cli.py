@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,28 @@ class TestConstruct:
     def test_bad_params(self, capsys):
         assert main(["construct", "path"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, arity, got",
+        [
+            (["path", "5", "7"], 1, 2),
+            (["path"], 1, 0),
+            (["threshold", "2,4", "1,1"], 1, 2),
+            (["complement"], 1, 0),
+            (["cartesian", "K2", "K2", "K2"], 2, 3),
+            (["join", "K2"], 2, 1),
+            (["union"], 2, 0),
+            (["double-cone", "K3", "--over", "K2"], 0, 1),
+            (["hadamard", "2", "--sylvester", "1"], 0, 1),
+        ],
+    )
+    def test_wrong_parameter_count(self, capsys, argv, arity, got):
+        assert main(["construct", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"bad constructor parameters: parameter count for {argv[0]} is {arity}, got {got}\n"
+        )
+
     def test_missing_required_option(self, capsys):
         for argv, option in (
             (["construct", "double-cone"], "--over"),
@@ -415,3 +438,16 @@ class TestPublicSurface:
         code = "from lafr import *; import lafr; assert set(lafr.__all__) <= set(globals())"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_examples_parse():
+    # the README's CLI block must name only options and choices the parser still has
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("lafr ")]
+    assert len(examples) >= 12
+    for line in examples:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

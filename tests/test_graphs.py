@@ -1,5 +1,6 @@
 """Graph representation, formats, and constructors."""
 
+import itertools
 import re
 import tracemalloc
 from random import Random
@@ -397,6 +398,25 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_graph([2, 0])
 
+    def test_matches_iterated_join_and_union(self):
+        # the construction as its definition: union an edgeless block, join a complete one
+        def iterated(ms):
+            g = empty_graph(ms[0])
+            for i, m in enumerate(ms[1:], start=1):
+                g = join(g, complete_graph(m)) if i % 2 else disjoint_union(g, empty_graph(m))
+            return g
+
+        lists = [list(ms) for k in (2, 4, 6) for ms in itertools.product((1, 2, 3), repeat=k)]
+        assert len(lists) == 819
+        for ms in lists:
+            assert threshold_graph(ms) == iterated(ms), ms
+
+    def test_all_singletons_at_the_cli_limit(self):
+        g = threshold_graph([1] * 500)
+        # the 250 joined vertices 1, 3, ..., 499 meet every earlier vertex
+        assert g.num_edges == sum(range(1, 500, 2)) == 250**2
+        assert g.degrees()[499] == 499 and g.degrees()[0] == 250
+
 
 class TestHadamard:
     def test_sylvester_orders(self):
@@ -437,6 +457,22 @@ class TestHadamard:
         # bipartite: rows vs columns
         for u, v in g.edges:
             assert (u < 8) != (v < 8)
+
+    @pytest.mark.parametrize("k, flipped", [(0, None), (1, None), (2, None), (3, None), (2, 1)])
+    def test_every_pair_follows_the_sign_rule(self, k, flipped):
+        h = sylvester_hadamard(k)
+        if flipped is not None:
+            h[flipped] = [-x for x in h[flipped]]
+        n = len(h)
+
+        def symbol(v):  # (side, index, sign): rows then columns, plus block before minus
+            return v // (2 * n), v % n, 1 if v % (2 * n) < n else -1
+
+        g = hadamard_graph(h)
+        for u in range(4 * n):
+            for v in range(u + 1, 4 * n):
+                (su, i, s), (sv, j, t) = symbol(u), symbol(v)
+                assert ((u, v) in g.edges) == (su != sv and h[i][j] == s * t), (u, v)
 
     def test_rejects_non_hadamard(self):
         for h in (

@@ -502,3 +502,15 @@ def test_import_does_not_load_numpy():
     code = "import sys, lafr; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_class_corpus_campaigns_do_not_load_numpy_ma():
+    # np.unique imports numpy.ma on first use (numpy 2.x), an import no campaign needs
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys; from lafr.campaigns import campaign_prime_order, campaign_constructions; "
+        "campaign_prime_order(5); campaign_constructions(); print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
