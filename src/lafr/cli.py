@@ -2,8 +2,11 @@
 
 Subcommands: ``analyze`` (full report for one graph), ``periodic``
 (one-vertex periodicity), ``construct`` (emit a constructed graph as
-graph6), and ``campaign`` (corpus verification runs).  Exit codes:
-0 success / all-pass, 1 counterexample found, 2 usage or parse error.
+graph6; every operand positional), and ``campaign`` (corpus verification
+runs).  A graph file is an edge list when its first non-blank line starts
+with a digit, a sign or ``#`` (no graph6 byte is one), and one graph6 line
+otherwise.  Exit codes: 0 success / all-pass, 1 counterexample found,
+2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -81,27 +84,27 @@ def _load_graph(args) -> Graph:
         _check_order(_order(args.g6))
         return graph_from_token(args.g6)
     text = Path(args.file).read_text()
-    if args.format == "edgelist":
+    line, *rest = text.strip().splitlines() or [""]
+    if line[:1].isdigit() or line[:1] in ("#", "+", "-"):
         g = parse_edgelist(text)
         _check_order(g.n)
         return g
-    line = (text.strip().splitlines() or [""])[0]
+    if any(map(str.strip, rest)):
+        raise GraphFormatError("a graph6 file holds one graph, this one has more lines")
     _check_order(graph6_order(line))
     return parse_graph6(line)
 
 
+def _pair(spec: str) -> tuple[int, int]:
+    try:
+        a, b = (int(x) for x in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two vertices a,b, got {spec!r}") from None
+    return a, b
+
+
 def _cmd_analyze(args) -> int:
-    g = _load_graph(args)
-    pairs = None
-    if args.pairs:
-        pairs = []
-        for spec in args.pairs:
-            try:
-                a, b = (int(x) for x in spec.split(","))
-            except ValueError:
-                raise ValueError(f"--pairs {spec!r}: expected two vertices a,b") from None
-            pairs.append((a, b))
-    report = build_analysis_report(g, pairs=pairs)
+    report = build_analysis_report(_load_graph(args), pairs=args.pairs)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -119,17 +122,14 @@ def _cmd_construct(args) -> int:
     name = args.name
     params = args.params
     try:
-        needs = {"double-cone": "over", "hadamard": "sylvester"}.get(name)
-        if needs and getattr(args, needs) is None:
-            raise ValueError(f"{name} needs --{needs}")
-        arity = 0 if needs else 2 if name in ("cartesian", "join", "union") else 1
+        arity = 2 if name in ("cartesian", "join", "union") else 1
         if len(params) != arity:
             raise ValueError(f"parameter count for {name} is {arity}, got {len(params)}")
         # The order is read from the inputs, so nothing too large is built.
         if name in ("path", "cycle", "complete", "empty"):
             n, build = int(params[0]), lambda: standard_graph(name, n)
         elif name == "double-cone":
-            n, build = _order(args.over) + 2, lambda: double_cone(graph_from_token(args.over))
+            n, build = _order(params[0]) + 2, lambda: double_cone(graph_from_token(params[0]))
         elif name == "complement":
             n, build = _order(params[0]), lambda: complement(graph_from_token(params[0]))
         elif name in ("cartesian", "join", "union"):
@@ -141,7 +141,7 @@ def _cmd_construct(args) -> int:
             parts = [int(x) for x in params[0].split(",")]
             n, build = sum(parts), lambda: threshold_graph(parts)
         else:  # hadamard; argparse's choices admit no other name
-            k = args.sylvester  # sylvester_hadamard rejects k outside 0..12
+            k = int(params[0])  # sylvester_hadamard rejects k outside 0..12
             n = 4 * 2**k if 0 <= k <= 12 else 0
             build = lambda: hadamard_graph(sylvester_hadamard(k))
         _check_order(n)
@@ -186,16 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="full revival/periodicity report")
     src = p_an.add_mutually_exclusive_group(required=True)
     src.add_argument("--g6", help="graph6 string or family shorthand (K4, P3, C6, O2)")
-    src.add_argument("--file", help="path to a graph file")
-    p_an.add_argument(
-        "--format", choices=("graph6", "edgelist"), default="graph6"
-    )
-    p_an.add_argument(
-        "--pairs",
-        action="append",
-        metavar="a,b",
-        help="decide these pairs explicitly (repeatable)",
-    )
+    src.add_argument("--file", help="path to a graph6 or edge-list file")
+    p_an.add_argument("--pairs", action="append", type=_pair, metavar="a,b",
+                      help="decide these pairs explicitly (repeatable)")
     p_an.add_argument("--json", action="store_true", help="emit JSON")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -214,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_con.add_argument("params", nargs="*", help="constructor parameters")
-    p_con.add_argument("--over", help="base graph for double-cone")
-    p_con.add_argument("--sylvester", type=int, help="Sylvester order exponent")
     p_con.set_defaults(func=_cmd_construct)
 
     p_cam = sub.add_parser("campaign", help="run a verification campaign")
