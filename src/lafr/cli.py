@@ -6,13 +6,14 @@ graph6; every operand positional), and ``campaign`` (corpus verification
 runs).  A graph file is an edge list when its first non-blank line starts
 with a digit, a sign or ``#`` (no graph6 byte is one), and one graph6 line
 otherwise.  Exit codes: 0 success / all-pass, 1 counterexample found,
-2 usage or parse error.
+2 usage or parse error, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,6 +58,7 @@ _NAME_FAMILIES = {
     "E": "empty",
 }
 _MAX_N = 500  # largest vertex count taken by analyze, periodic and construct
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, a shell's status for a writer whose reader left
 
 
 def graph_from_token(token: str) -> Graph:
@@ -156,8 +158,10 @@ def _cmd_construct(args) -> int:
 def _cmd_campaign(args) -> int:
     if args.workers < 1:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
+    if args.name != "trees" and args.max_n is not None:
+        raise ValueError(f"--max-n sizes the trees campaign only, not {args.name}")
     if args.name == "trees":
-        result = campaign_trees(args.max_n)
+        result = campaign_trees() if args.max_n is None else campaign_trees(args.max_n)
     elif args.name in ("prime5", "prime7"):
         result = campaign_prime_order(int(args.name[-1]))
     else:
@@ -216,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cam.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; campaigns run in one process")
     p_cam.add_argument("--json", metavar="PATH", help="write JSON report here")
-    p_cam.add_argument("--max-n", type=int, default=10,
-                       help="largest tree size for the tree campaign")
+    p_cam.add_argument("--max-n", type=int,
+                       help="largest tree size for the tree campaign (default 10)")
     p_cam.set_defaults(func=_cmd_campaign)
     return parser
 
@@ -229,7 +233,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (head, a pager): what was read is correct.
+        # Later writes, the shutdown flush among them, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

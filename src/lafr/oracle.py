@@ -5,13 +5,14 @@ exact pipeline, so the two routes can check each other.  The workhorses
 are the spectral decomposition of the Laplacian, grid time scans, which
 alone read the leakage of a vertex pair's two rows of the walk operator
 U(t) = exp(+i t L) over a vector of times, and the residual of one column
-of U(t).  No dense U(t) is ever built: a scan precomputes the pair's
-eigenvector products once, reads U(t) only through the pair's rows, with
-time on the last axis, and refines one bracket per leakage dip away from
-the trivial dip at t = 0; the residual reads U(t) e_a alone.  Pairs pass
-the one vertex guard, :func:`lafr.graphs.check_vertices`, and a PROPER
-decision, checked by :func:`decision_residual`, counts as verified when
-its residual is at most ``RESIDUAL_TOL``.
+of U(t).  No dense U(t) is ever built: a scan reads U(t) only through
+the pair's rows, as real eigenvector products times one grid-phase table
+per graph, with time on the last axis, and refines one bracket per
+leakage dip away from the trivial dip at t = 0; the residual reads
+U(t) e_a alone.  Pairs pass the one vertex guard,
+:func:`lafr.graphs.check_vertices`, and a PROPER decision, checked by
+:func:`decision_residual`, counts as verified when its residual is at
+most ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ def _pair_rows(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     check_vertices(g, a, b)
     evals, v = graph_spectrum(g)
     others = [j for j in range(g.n) if j not in (a, b)]
-    w = np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]])
-    return evals, w.astype(complex)  # cast once, not per pass
+    return evals, np.concatenate([v[a] * v[[b, *others]], v[b] * v[others]])
 
 
 def _phases(evals: np.ndarray, times) -> np.ndarray:
@@ -72,10 +72,28 @@ def _grid_phases(evals: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return table.reshape(len(evals), -1)[:, 1 : steps + 1]
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_table(g: Graph, t_max: float, steps: int) -> np.ndarray:
+    """The grid phases of ``g`` over (0, t_max], contiguous and read-only.
+
+    The one entry serves consecutive scans of one graph; a scan of another
+    graph, length or step count replaces it, so no more tables are held.
+    """
+    evals, _ = graph_spectrum(g)
+    table = np.ascontiguousarray(_grid_phases(evals, t_max / steps, steps))
+    table.flags.writeable = False
+    return table
+
+
 def _leakage(phases: np.ndarray, w: np.ndarray):
     """Leakage and |beta| at every column (time) of ``phases``, in one
-    pass; U(t)'s pair entries come out (2n - 3, T), time on the last axis."""
-    u = np.abs(w @ phases)
+    pass; U(t)'s pair entries come out (2n - 3, T), time on the last axis.
+
+    ``w`` is real, so the product runs on the phases' real and imaginary
+    parts side by side and is read back as complex: one real matmul
+    instead of a complex one with zero imaginary parts.
+    """
+    u = np.abs((w @ phases.view(float)).view(complex))
     return u[1:].max(axis=0, initial=0.0), u[0]
 
 
@@ -123,8 +141,7 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
         raise ValueError(f"scan length must be finite and positive, got {t_max!r}")
     evals, w = _pair_rows(g, a, b)
     dt = t_max / steps
-    times = dt * np.arange(1, steps + 1)
-    leak, beta = _leakage(_grid_phases(evals, dt, steps), w)
+    leak, beta = _leakage(_grid_table(g, t_max, steps), w)
     slope = max(1.0, float(evals[-1]))
     gate = max(_LEAK_TOL, slope * dt)
     near = (leak <= gate) & (beta > _BETA_MIN)
@@ -133,7 +150,7 @@ def time_scan(g: Graph, a: int, b: int, t_max: float, steps: int) -> list[float]
     near[:-1] &= leak[:-1] <= leak[1:]
     if not near.any():
         return []
-    centers = times[near]
+    centers = dt * (np.flatnonzero(near) + 1)  # the candidates' grid times
     t_star = _refine_minimum(
         evals, w, np.maximum(centers - dt, 1e-12), np.minimum(centers + dt, t_max)
     )

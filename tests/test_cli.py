@@ -453,6 +453,48 @@ class TestCampaignCommand:
             assert main(["campaign", "prime5", "--workers", workers]) == 2
             assert "workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["prime5", "prime7", "constructions"])
+    def test_max_n_only_for_trees(self, name, monkeypatch, capsys):
+        # refused before any corpus is built, instead of silently ignored
+        monkeypatch.setattr(cli, "campaign_prime_order", pytest.fail)
+        monkeypatch.setattr(cli, "campaign_constructions", pytest.fail)
+        assert main(["campaign", name, "--max-n", "3"]) == 2
+        assert f"sizes the trees campaign only, not {name}" in capsys.readouterr().err
+
+    def test_trees_default_size(self, monkeypatch, capsys):
+        # no --max-n leaves campaign_trees its own default
+        sizes = []
+
+        def small(*n_max):
+            sizes.append(n_max)
+            return campaigns.campaign_trees(4)
+
+        monkeypatch.setattr(cli, "campaign_trees", small)
+        assert main(["campaign", "trees"]) == 0
+        assert main(["campaign", "trees", "--max-n", "5"]) == 0
+        assert sizes == [(), (5,)]
+        assert capsys.readouterr().out.count("PASS") == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_reader_gone_before_the_report(self, extra):
+        # the reader closes its end before anything is written (as head -1
+        # does once it has its line): no error line, and not exit 2
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        code = "import sys; from lafr.cli import main; sys.exit(main())"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "analyze", "--g6", "C24", *extra],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
 
 class TestPublicSurface:
     def test_every_export_resolves(self):

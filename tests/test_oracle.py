@@ -185,6 +185,68 @@ class TestGridPhases:
         assert np.abs(got - want).max() <= 1e-12
 
 
+class TestGridTable:
+    """One grid-phase table per (graph, t_max, steps), shared by its pairs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = oracle._grid_phases
+
+        def counting(evals, dt, steps):
+            calls.append((len(evals), dt, steps))
+            return real(evals, dt, steps)
+
+        monkeypatch.setattr(oracle, "_grid_phases", counting)
+        oracle._grid_table.cache_clear()
+        yield calls
+        oracle._grid_table.cache_clear()
+
+    def test_consecutive_pairs_build_once(self, builds):
+        g = cycle_graph(6)
+        for a, b in ((0, 3), (1, 4), (0, 1), (2, 5)):
+            oracle.time_scan(g, a, b, 2 * math.pi, 720)
+        assert builds == [(6, 2 * math.pi / 720, 720)]
+        assert not oracle._grid_table(g, 2 * math.pi, 720).flags.writeable
+
+    def test_graph_length_or_steps_rebuild(self, builds):
+        oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 720)
+        oracle.time_scan(complete_graph(3), 0, 2, 2 * math.pi, 720)
+        oracle.time_scan(path_graph(3), 0, 2, math.pi, 720)
+        oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 360)
+        assert len(builds) == 4
+        oracle.time_scan(path_graph(3), 0, 1, 2 * math.pi, 360)  # still cached
+        assert len(builds) == 4
+
+    def test_same_order_graph_gets_its_own_hits(self):
+        # P3's ends revive at 2pi/3 and 4pi/3, K3's never: same n, t_max
+        # and steps, so only the graph tells the two tables apart
+        for first, second, want in (
+            (path_graph(3), complete_graph(3), 0),
+            (complete_graph(3), path_graph(3), 2),
+        ):
+            oracle._grid_table.cache_clear()
+            oracle.time_scan(first, 0, 2, 2 * math.pi, 720)
+            assert len(oracle.time_scan(second, 0, 2, 2 * math.pi, 720)) == want
+        # scans of six-vertex graphs one after another match cold scans:
+        # C6's antipodes revive at 2pi/3 and 4pi/3, the double cones' apexes
+        # at four multiples of pi/3, and C6's (0, 1) never
+        graphs = [
+            cycle_graph(6),
+            double_cone(cycle_graph(4)),
+            double_cone(path_graph(4)),
+            random_graph(Random(151), 6),
+        ]
+        pairs = ((0, 1), (0, 3), (2, 4))
+        cold = []
+        for g in graphs:
+            oracle._grid_table.cache_clear()
+            cold.append([oracle.time_scan(g, a, b, 2 * math.pi, 720) for a, b in pairs])
+        warm = [[oracle.time_scan(g, a, b, 2 * math.pi, 720) for a, b in pairs] for g in graphs]
+        assert warm == cold
+        assert [len(h) for h in cold[0]] == [0, 2, 0] and len(cold[1][0]) == 4
+
+
 class TestTimeScan:
     def test_p3_hits_revival_times(self):
         hits = oracle.time_scan(path_graph(3), 0, 2, 2 * math.pi, 720)
