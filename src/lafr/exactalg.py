@@ -1,17 +1,5 @@
-"""Exact polynomials from their roots.
+"""Empty: the exact layer is :mod:`lafr.spectral`, which builds no polynomial.
 
-Polynomials are lists of integer coefficients in ascending degree order.
-The vertex-local spectral layer (:mod:`lafr.spectral`) builds its
-annihilators here.  Everything here is exact; the floating-point
-counterpart lives in :mod:`lafr.oracle`.
-"""
-
-from __future__ import annotations
-
-
-def poly_from_roots(roots) -> list[int]:
-    """The monic polynomial prod (t - r) over ``roots``."""
-    out = [1]
-    for r in roots:
-        out = [lo - r * hi for lo, hi in zip([0] + out, out + [0])]
-    return out
+``perfbench/tracer.py`` lists this layer in ``LAYERS`` and
+``tests/test_tracer.py::test_tracer_layers_import`` imports every listed
+layer, so the file stays until the tracer drops it."""

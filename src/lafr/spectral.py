@@ -16,10 +16,11 @@ cache, decides every vertex at once, each candidate support in one batch:
    nonzero weight form a candidate support S inside {0..n}.  These are the
    roots that Berlekamp-Massey would find in the moments (L^k)_aa mod p,
    without forming the powers of L.
-2. Certify S over the integers (:func:`_certify`): prod_{mu in S} (L - mu)
-   e_a = 0 puts the support inside S, and l_mu(L) e_a != 0 for every mu in
-   S, with l_mu = prod_{nu in S - mu} (t - nu), puts mu in it.  Then
-   E_mu e_a = l_mu(L) e_a / l_mu(mu) exactly.
+2. Certify S = {nu_0..nu_(s-1)} over the integers (:func:`_certify`) along
+   the chain v_k = prod_{j<k} (L - nu_j) e_a: v_s = 0 puts the support inside
+   S.  Horner's rule on the chain turns v_0..v_(s-1) into l_mu(L) e_a, with
+   l_mu = prod_{nu in S - mu} (t - nu), and l_mu(L) e_a != 0 puts mu in it.
+   Then E_mu e_a = l_mu(L) e_a / l_mu(mu) exactly.
 3. The vertices that fail their certificate are screened again modulo the
    next prime, so an uncertified candidate never yields a verdict.  Only
    the finitely many primes that divide every entry of a nonzero Q e_a, or
@@ -42,7 +43,6 @@ from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
 from .errors import NonIntegerSupportError
-from .exactalg import poly_from_roots
 from .graphs import Graph, check_vertices, laplacian
 
 if TYPE_CHECKING:
@@ -148,28 +148,34 @@ def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[Verte
     integers; ``None`` for a vertex whose support it is not."""
     import numpy as np
 
-    # Entries and partial sums stay below prod(2 * max degree + nu): float64
-    # is exact under 2^53, and Python integers take over above it.
-    bound = prod(2 * max(g.degrees()) + nu for nu in support)
+    # Every chain vector and Horner accumulator is a product of (L - nu)
+    # factors applied to e_a, a row of L - nu sums to at most 2 * max degree
+    # + nu in absolute value, and a Horner step scales an accumulator that
+    # lacks factors i and k by |nu_i - nu_k| <= max(nu_i, nu_k).  So entries
+    # stay below prod(2 * max degree + nu): float64 is exact under 2^53,
+    # and Python integers take over above it.
+    top = 2 * max(g.degrees())
+    bound = prod(top + nu for nu in support)
     dtype, ints = (float, np.int64) if bound < _FLOAT_EXACT else (object, object)
     lap = np.array(laplacian(g), dtype=dtype)
-    polys = [poly_from_roots(nu for nu in support if nu != mu) for mu in support]
-    # Axes: mu, entry, vertex.  cols[i] = l_mu(L) e_a accumulates one Krylov
-    # vector L^k e_a at a time, so only the current one is alive.
-    cols = np.zeros((len(support), g.n, len(verts)), dtype=ints)
+    # Axes: nu, entry, vertex.  cols[k] holds v_k = prod_{j<k} (L - nu_j) e_a
+    # for k < s, and x ends as v_s, zero where the support contains a's.
+    cols = np.empty((len(support), g.n, len(verts)), dtype=ints)
     x = np.eye(g.n, dtype=dtype)[:, verts]
-    for k in range(len(support)):
-        if k:
-            x = lap @ x
-        xk = x.astype(ints)
-        for col, poly in zip(cols, polys):
-            col += poly[k] * xk
-    residual = (lap @ cols[0] - support[0] * cols[0]).any(axis=0)
+    for k, nu in enumerate(support):
+        cols[k] = x
+        x = lap @ x - nu * x
+    # Horner's rule, as L - nu_k = (L - nu_i) + (nu_i - nu_k): step k turns
+    # cols[i], i < k, into prod_{j<=k, j!=i} (L - nu_j) e_a, so l_mu(L) e_a.
+    nus = np.array(support, dtype=ints)[:, None, None]
+    for k in range(1, len(support)):
+        cols[:k] *= nus[:k] - nus[k]
+        cols[:k] += cols[k]
     # Scale each column by its first nonzero entry's sign (0: a zero column).
     first = np.take_along_axis(cols, (cols != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
     signs = np.where(first < 0, -1, 1)
     cols *= signs[:, None]
-    ok = (~residual & (first != 0).all(axis=0)).tolist()
+    ok = (~x.any(axis=0) & (first != 0).all(axis=0)).tolist()
     return [
         VertexSpectrum(support, signs[:, i], cols[:, :, i]) if good else None
         for i, good in enumerate(ok)

@@ -1,6 +1,7 @@
-"""Exact integer algebra: polynomials from their roots, plus the test-side
-references (the characteristic polynomial, its integer roots and the exact
-kernel)."""
+"""The test-side exact references in ``conftest``: the characteristic
+polynomial, its integer roots and the exact kernel.  The package itself
+builds no polynomial; ``lafr.spectral`` certifies supports along a chain of
+(L - nu) factors."""
 
 from fractions import Fraction
 from random import Random
@@ -9,24 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import char_poly, kernel_basis, poly_eval, random_graph, split_integer_roots
-from lafr.exactalg import poly_from_roots
 from lafr.graphs import laplacian, path_graph
-
-
-class TestPolyFromRoots:
-    def test_empty(self):
-        assert poly_from_roots([]) == [1]
-
-    def test_p3_spectrum(self):
-        assert poly_from_roots([0, 1, 3]) == [0, 3, -4, 1]
-
-    def test_vanishes_at_roots(self):
-        rng = Random(37)
-        for _ in range(20):
-            roots = [rng.randint(-5, 9) for _ in range(rng.randint(1, 6))]
-            p = poly_from_roots(roots)
-            assert p[-1] == 1 and len(p) == len(roots) + 1
-            assert all(poly_eval(p, r) == 0 for r in roots)
 
 
 class TestCharPoly:

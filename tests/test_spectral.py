@@ -37,6 +37,7 @@ from lafr.graphs import (
     hadamard_graph,
     path_graph,
     sylvester_hadamard,
+    threshold_graph,
 )
 from lafr.reporting import build_analysis_report
 from lafr.revival import all_lafr_pairs, decide_proper_lafr
@@ -400,6 +401,14 @@ class TestCertificate:
         assert spectral._screen(g, spectral.PRIME)[0] is None
         self._check(monkeypatch, g, 0, lambda s: (0, 2))
 
+
+    def test_both_tiers_in_one_graph(self):
+        # T_16, the threshold graph on sixteen singleton parts: its supports
+        # of up to 10 eigenvalues stay below 2^53 and certify in int64, the
+        # larger ones pass it and certify in Python integers, unforced
+        g = threshold_graph([1] * 16)
+        assert dtypes(g) == {np.dtype(np.int64), np.dtype(object)}
+        assert_matches_reference(g)
 
     def test_python_integers_above_float_range(self, monkeypatch, undecided):
         # a support whose entry bound passes 2^53 is certified in Python
