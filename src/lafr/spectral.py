@@ -3,18 +3,18 @@ vertex of a graph in one pass, without the characteristic polynomial.
 
 The eigenvalue support of vertex a is the set of Laplacian eigenvalues mu
 with E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic
-m_a of least degree with m_a(L) e_a = 0.  Every eigenvalue lies in [0, n],
-so the support is all-integer exactly when Q e_a = 0 for
-Q = prod_{mu=0..n} (L - mu).  :func:`vertex_spectra`, the one per-graph
-cache, decides every vertex at once, each candidate support in one batch:
+m_a of least degree with m_a(L) e_a = 0.  By Gershgorin every eigenvalue lies
+in [0, top], top = min(n, 2 * max degree), so the support is all-integer
+exactly when Q e_a = 0 for Q = prod_{mu=0..top} (L - mu).  The one per-graph
+cache :func:`vertex_spectra` decides all vertices, one batch per candidate:
 
 1. Screen modulo a prime p, one numpy pass per graph (:func:`_screen`).  A
    nonzero column a of Q mod p means Q e_a != 0 over the integers, which
    rules an all-integer support out exactly.  For every other vertex the
-   diagonals of the partial products prod_{mu<j} (L - mu), j <= n, give the
-   weights (E_mu)_aa mod p by an inverse binomial transform, and the mu of
-   nonzero weight form a candidate support S inside {0..n}.  These are the
-   roots that Berlekamp-Massey would find in the moments (L^k)_aa mod p,
+   diagonals of the partial products prod_{mu<j} (L - mu), j <= top, give
+   the weights (E_mu)_aa mod p by an inverse binomial transform, and the mu
+   of nonzero weight form a candidate support S inside {0..top}.  These are
+   the roots that Berlekamp-Massey would find in the moments (L^k)_aa mod p,
    without forming the powers of L.
 2. Certify S = {nu_0..nu_(s-1)} over the integers (:func:`_certify`) along
    the chain v_k = prod_{j<k} (L - nu_j) e_a: v_s = 0 puts the support inside
@@ -49,9 +49,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 PRIME = 1000003
-# The screen works in float64 on residues in [0, p).  Its largest sums are
-# the entries of the weight transform, n + 1 products below (p - 1)^2 each,
-# so float64 BLAS is exact while (n + 1) * (p - 1)^2 < 2^53: n <= 9006 here.
+# The screen works in float64 on residues in [0, p).  The weight transform
+# adds top + 1 products below (p - 1)^2 each, so float64 BLAS is exact while
+# (top + 1) * (p - 1)^2 < 2^53: top = min(n, 2 * max degree) <= 9006 here.
 _FLOAT_EXACT = 2**53
 
 
@@ -112,6 +112,7 @@ def _binomial_inverse(n: int, p: int):
     If d_j = sum_mu w_mu mu (mu-1)...(mu-j+1) for weights w on {0..n}, then
     w = d T (binomial inversion of d_j / j! = sum_mu C(mu, j) w_mu).  Pascal's
     rule builds it a row at a time: T[j, mu] = (T[j-1, mu-1] - T[j-1, mu]) / j.
+    No entry depends on n: the table for k < n is the block t[:k + 1, :k + 1].
     """
     import numpy as np
 
@@ -128,15 +129,15 @@ def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
     column of Q mod p is nonzero, else the mu of nonzero weight mod p."""
     import numpy as np
 
-    n = g.n
-    if (n + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
-        raise ValueError(f"n = {n} is too large for exact float64 residues modulo {p}")
+    top = min(g.n, 2 * max(g.degrees(), default=0))
+    if (top + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise ValueError(f"n = {g.n}, bound {top}: too large for exact float64 residues mod {p}")
     lap = np.array(laplacian(g), dtype=float)
-    m, diags = np.eye(n), np.empty((n, n + 1))
-    for mu in range(n + 1):
+    m, diags = np.eye(g.n), np.empty((g.n, top + 1))
+    for mu in range(top + 1):
         diags[:, mu] = m.diagonal()
         m = (m @ lap - mu * m) % p
-    weights = diags @ _binomial_inverse(n, p) % p
+    weights = diags @ _binomial_inverse(g.n, p)[: top + 1, : top + 1] % p
     return tuple(
         tuple(mu for mu, w in enumerate(row) if w) if alive else None
         for alive, row in zip((m == 0).all(axis=0).tolist(), weights.tolist())

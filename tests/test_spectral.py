@@ -445,9 +445,18 @@ class TestCertificate:
         assert [dtypes(h) for h in graphs] == [{np.dtype(object)}] * len(graphs)
 
 
+def star(k):
+    """K_{1,k}: centre 0 and leaves 1..k."""
+    return Graph.from_edges(k + 1, [(0, j) for j in range(1, k + 1)])
+
+
 class TestScreenBound:
+    # The screen stops at top = min(n, 2 * max degree), which bounds every
+    # Laplacian eigenvalue (Gershgorin), so Q_top e_a = 0 still exactly
+    # when a's support is all-integer.
+
     def test_prime_too_large_for_float64(self, monkeypatch, undecided):
-        # (n + 1) (p - 1)^2 >= 2^53 already for n = 3 at p = 2^61 - 1
+        # (top + 1) (p - 1)^2 >= 2^53 already for P3 (top = 3) at p = 2^61 - 1
         monkeypatch.setattr(spectral, "PRIME", 2**61 - 1)
         with pytest.raises(ValueError):
             vertex_spectra(path_graph(3))
@@ -456,8 +465,47 @@ class TestScreenBound:
         p = spectral.PRIME
         assert 9007 * (p - 1) ** 2 < 2**53 <= 9008 * (p - 1) ** 2
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_star_bound_is_tight(self, k):
+        # top = n = k + 1 = lambda_max: the spectrum is 0, 1 (k - 1 times), n
+        g = star(k)
+        leaf = (0, 1, g.n) if k > 1 else (0, g.n)
+        assert spectral._screen(g, spectral.PRIME) == ((0, g.n),) + (leaf,) * k
+        assert_matches_reference(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_edgeless(self, n):
+        # top = 0: Q = L = 0 and every vertex has the support {0}
+        g = empty_graph(n)
+        assert spectral._screen(g, spectral.PRIME) == ((0,),) * n
+        assert [spec.support for spec in vertex_spectra(g)] == [(0,)] * n
+
+    def test_c300(self):
+        # top = 4, far below n = 300; every support holds an irrational
+        # 2 - 2 cos(2 pi k / 300), so no vertex is all-integer
+        g = cycle_graph(300)
+        assert spectral._screen(g, spectral.PRIME) == (None,) * 300
+        assert all_lafr_pairs(g) == []
+
+    def test_guard_limits_the_bound_not_n(self, monkeypatch, undecided):
+        # (top + 1) (p - 1)^2 < limit <= (n + 1) (p - 1)^2 for C6 (top = 4,
+        # n = 6): it screens; K6 (top = n = 6) still raises
+        monkeypatch.setattr(spectral, "_FLOAT_EXACT", 6 * (spectral.PRIME - 1) ** 2)
+        assert eigenvalue_support(cycle_graph(6), 0) == {0, 1, 3, 4}
+        with pytest.raises(ValueError, match="n = 6, bound 6"):
+            vertex_spectra(complete_graph(6))
+
 
 class TestBinomialInverse:
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_leading_block(self, n):
+        # T[j, mu] depends on j, mu and p alone, so the table for k is the
+        # top-left (k + 1) x (k + 1) block of the table for n
+        p = spectral.PRIME
+        full = spectral._binomial_inverse(n, p)
+        for k in range(n):
+            assert np.array_equal(spectral._binomial_inverse(k, p), full[: k + 1, : k + 1])
+
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
     def test_closed_form(self, n):
         # T[j, mu] = (-1)^(j-mu) C(j, mu) / j! mod p, zero above the diagonal
