@@ -7,6 +7,11 @@ runs).  A graph file is an edge list when its first non-blank line starts
 with a digit, a sign or ``#`` (no graph6 byte is one), and one graph6 line
 otherwise.  Exit codes: 0 success / all-pass, 1 counterexample found,
 2 usage or parse error, 141 when the reader closes stdout early.
+
+Each subcommand imports the modules it runs (``reporting``, ``campaigns``
+and numpy through them) once its operands pass their size and parse
+checks, so start-up, ``--help``, those refusals and every constructor but
+``hadamard`` run without numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +23,6 @@ import re
 import sys
 from pathlib import Path
 
-from .campaigns import (
-    campaign_constructions,
-    campaign_prime_order,
-    campaign_trees,
-)
 from .errors import SpecialSmallGraphError
 from .graphs import (
     Graph,
@@ -40,13 +40,6 @@ from .graphs import (
     sylvester_hadamard,
     threshold_graph,
     to_graph6,
-)
-from .reporting import (
-    build_analysis_report,
-    campaign_report,
-    format_periodicity,
-    format_report,
-    periodicity_entry,
 )
 
 _NAME_PATTERN = re.compile(r"^([KPCOE])(\d+)$")
@@ -106,7 +99,10 @@ def _pair(spec: str) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> int:
-    report = build_analysis_report(_load_graph(args), pairs=args.pairs)
+    g = _load_graph(args)
+    from .reporting import build_analysis_report, format_report
+
+    report = build_analysis_report(g, pairs=args.pairs)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -116,6 +112,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_periodic(args) -> int:
     g = _load_graph(args)
+    from .reporting import format_periodicity, periodicity_entry
+
     print(format_periodicity(periodicity_entry(g, args.vertex)))
     return 0
 
@@ -160,6 +158,9 @@ def _cmd_campaign(args) -> int:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
     if args.name != "trees" and args.max_n is not None:
         raise ValueError(f"--max-n sizes the trees campaign only, not {args.name}")
+    from .campaigns import campaign_constructions, campaign_prime_order, campaign_trees
+    from .reporting import campaign_report
+
     if args.name == "trees":
         result = campaign_trees() if args.max_n is None else campaign_trees(args.max_n)
     elif args.name in ("prime5", "prime7"):

@@ -124,15 +124,27 @@ def _binomial_inverse(n: int, p: int):
     return t
 
 
+@functools.lru_cache(maxsize=1)
+def _operator(g: Graph) -> tuple[np.ndarray, int]:
+    """The Laplacian of ``g`` in float64, read-only, and twice its largest
+    degree: built once per graph for the screen and every support group
+    (:func:`vertex_spectra` finishes one graph before the next)."""
+    import numpy as np
+
+    lap = np.array(laplacian(g), dtype=float)
+    lap.flags.writeable = False
+    return lap, 2 * max(g.degrees(), default=0)
+
+
 def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
     """Candidate support of every vertex modulo ``p``: ``None`` where the
     column of Q mod p is nonzero, else the mu of nonzero weight mod p."""
     import numpy as np
 
-    top = min(g.n, 2 * max(g.degrees(), default=0))
+    lap, two_delta = _operator(g)
+    top = min(g.n, two_delta)
     if (top + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError(f"n = {g.n}, bound {top}: too large for exact float64 residues mod {p}")
-    lap = np.array(laplacian(g), dtype=float)
     m, diags = np.eye(g.n), np.empty((g.n, top + 1))
     for mu in range(top + 1):
         diags[:, mu] = m.diagonal()
@@ -155,10 +167,11 @@ def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[Verte
     # lacks factors i and k by |nu_i - nu_k| <= max(nu_i, nu_k).  So entries
     # stay below prod(2 * max degree + nu): float64 is exact under 2^53,
     # and Python integers take over above it.
-    top = 2 * max(g.degrees())
-    bound = prod(top + nu for nu in support)
+    lap, two_delta = _operator(g)
+    bound = prod(two_delta + nu for nu in support)
     dtype, ints = (float, np.int64) if bound < _FLOAT_EXACT else (object, object)
-    lap = np.array(laplacian(g), dtype=dtype)
+    if dtype is object:
+        lap = lap.astype(np.int64).astype(object)  # exact Python integers
     # Axes: nu, entry, vertex.  cols[k] holds v_k = prod_{j<k} (L - nu_j) e_a
     # for k < s, and x ends as v_s, zero where the support contains a's.
     cols = np.empty((len(support), g.n, len(verts)), dtype=ints)

@@ -456,20 +456,20 @@ class TestCampaignCommand:
     @pytest.mark.parametrize("name", ["prime5", "prime7", "constructions"])
     def test_max_n_only_for_trees(self, name, monkeypatch, capsys):
         # refused before any corpus is built, instead of silently ignored
-        monkeypatch.setattr(cli, "campaign_prime_order", pytest.fail)
-        monkeypatch.setattr(cli, "campaign_constructions", pytest.fail)
+        monkeypatch.setattr(campaigns, "campaign_prime_order", pytest.fail)
+        monkeypatch.setattr(campaigns, "campaign_constructions", pytest.fail)
         assert main(["campaign", name, "--max-n", "3"]) == 2
         assert f"sizes the trees campaign only, not {name}" in capsys.readouterr().err
 
     def test_trees_default_size(self, monkeypatch, capsys):
         # no --max-n leaves campaign_trees its own default
-        sizes = []
+        sizes, real = [], campaigns.campaign_trees
 
         def small(*n_max):
             sizes.append(n_max)
-            return campaigns.campaign_trees(4)
+            return real(4)
 
-        monkeypatch.setattr(cli, "campaign_trees", small)
+        monkeypatch.setattr(campaigns, "campaign_trees", small)
         assert main(["campaign", "trees"]) == 0
         assert main(["campaign", "trees", "--max-n", "5"]) == 0
         assert sizes == [(), (5,)]
@@ -494,6 +494,32 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == ""
+
+
+def test_commands_load_numpy_only_to_compute():
+    # construct, --help and every refusal finish without numpy; analyze loads
+    # it through reporting but never the campaign modules
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = (
+        "import sys; from lafr.cli import main; code = main(sys.argv[1:]); "
+        "print([m for m in ('numpy', 'lafr.campaigns', 'lafr.trees') if m in sys.modules], "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    cases = [
+        (["construct", "threshold", "2,4"], 0, []),
+        (["--help"], 0, []),
+        (["analyze", "--g6", "K501"], 2, []),
+        (["analyze", "--g6", "B?@"], 2, []),
+        (["campaign", "prime5", "--max-n", "3"], 2, []),
+        (["analyze", "--g6", "C6"], 0, ["numpy"]),
+    ]
+    for argv, exit_code, loaded in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == exit_code, (argv, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == repr(loaded), argv
 
 
 class TestPublicSurface:

@@ -35,6 +35,7 @@ from lafr.graphs import (
     double_cone,
     empty_graph,
     hadamard_graph,
+    laplacian,
     path_graph,
     sylvester_hadamard,
     threshold_graph,
@@ -339,10 +340,13 @@ class TestReferenceAgreement:
 
 @pytest.fixture
 def undecided():
-    """Forget every decided graph, so the next call screens again."""
+    """Forget every decided graph and its Laplacian, so the next call
+    screens again."""
     vertex_spectra.cache_clear()
+    spectral._operator.cache_clear()
     yield
     vertex_spectra.cache_clear()
+    spectral._operator.cache_clear()
 
 
 def keys(specs):
@@ -553,10 +557,28 @@ class TestOnePass:
         assert Counter(calls) == Counter(expected)
 
 
-def test_import_does_not_load_numpy():
+    def test_one_laplacian_per_graph(self, monkeypatch, undecided):
+        # T_20 certifies many support groups, in int64 and in Python integers,
+        # all from the one float64 Laplacian that the screen reads
+        g = threshold_graph([1] * 20)
+        built = []
+
+        def counted(h):
+            built.append(h)
+            return laplacian(h)
+
+        monkeypatch.setattr(spectral, "laplacian", counted)
+        specs = vertex_spectra(g)
+        assert built == [g]
+        assert len({spec.support for spec in specs}) > 2
+        assert dtypes(g) == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("module", ["lafr", "lafr.cli"])
+def test_import_does_not_load_numpy(module):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, lafr; print('numpy' in sys.modules)"
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
 
