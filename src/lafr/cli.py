@@ -11,12 +11,14 @@ otherwise.  Exit codes: 0 success / all-pass, 1 counterexample found,
 Each subcommand imports the modules it runs (``reporting``, ``campaigns``
 and numpy through them) once its operands pass their size and parse
 checks, so start-up, ``--help``, those refusals and every constructor but
-``hadamard`` run without numpy.
+``hadamard`` run without numpy.  A process enters through :func:`run`, which
+freezes the heap so that shutdown's collections skip it, not free it object by object.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -28,6 +30,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     cartesian_product,
+    check_vertices,
     complement,
     disjoint_union,
     double_cone,
@@ -100,6 +103,8 @@ def _pair(spec: str) -> tuple[int, int]:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
+    for pair in args.pairs or ():
+        check_vertices(g, *pair)
     from .reporting import build_analysis_report, format_report
 
     report = build_analysis_report(g, pairs=args.pairs)
@@ -112,6 +117,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_periodic(args) -> int:
     g = _load_graph(args)
+    check_vertices(g, args.vertex)
     from .reporting import format_periodicity, periodicity_entry
 
     print(format_periodicity(periodicity_entry(g, args.vertex)))
@@ -252,5 +258,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: exit with :func:`main`'s code, the heap frozen first."""
+    code = main()
+    gc.freeze()  # here, not in main, where it would pin a long-lived caller's heap
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

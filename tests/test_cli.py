@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, exit codes, public surface."""
 
 import argparse
+import gc
 import json
 import os
 import shlex
@@ -477,17 +478,22 @@ class TestCampaignCommand:
 
 
 class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "launcher",
+        [["-c", "import sys; from lafr.cli import main; sys.exit(main())"], ["-m", "lafr.cli"]],
+        ids=["main", "entry"],
+    )
     @pytest.mark.parametrize("extra", [[], ["--json"]])
-    def test_reader_gone_before_the_report(self, extra):
+    def test_reader_gone_before_the_report(self, extra, launcher):
         # the reader closes its end before anything is written (as head -1
-        # does once it has its line): no error line, and not exit 2
+        # does once it has its line): no error line, and not exit 2, also
+        # through the entry point that freezes the heap before exit
         read_end, write_end = os.pipe()
         os.close(read_end)
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        code = "import sys; from lafr.cli import main; sys.exit(main())"
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", code, "analyze", "--g6", "C24", *extra],
+                [sys.executable, *launcher, "analyze", "--g6", "C24", *extra],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
             )
         finally:
@@ -511,6 +517,10 @@ def test_commands_load_numpy_only_to_compute():
         (["analyze", "--g6", "K501"], 2, []),
         (["analyze", "--g6", "B?@"], 2, []),
         (["campaign", "prime5", "--max-n", "3"], 2, []),
+        (["periodic", "--g6", "C6", "--vertex", "9"], 2, []),
+        (["periodic", "--g6", "C6", "--vertex", "-1"], 2, []),
+        (["analyze", "--g6", "C6", "--pairs", "0,9"], 2, []),
+        (["analyze", "--g6", "C6", "--pairs", "2,2"], 2, []),
         (["analyze", "--g6", "C6"], 0, ["numpy"]),
     ]
     for argv, exit_code, loaded in cases:
@@ -520,6 +530,54 @@ def test_commands_load_numpy_only_to_compute():
         )
         assert proc.returncode == exit_code, (argv, proc.stderr)
         assert proc.stderr.splitlines()[-1] == repr(loaded), argv
+
+
+class TestProcessEntry:
+    """A process freezes its heap once its command returns, so the shutdown
+    collections skip it; ``main`` in a long-lived caller never freezes."""
+
+    def test_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["analyze", "--g6", "C6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["graph"]["n"] == 6
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "launch",
+        ["runpy.run_module('lafr.cli', run_name='__main__')", "from lafr.cli import run; run()"],
+        ids=["module", "script"],
+    )
+    @pytest.mark.parametrize("g6, exit_code", [("C6", 0), ("K501", 2)])
+    def test_entry_freezes_before_exit(self, launch, g6, exit_code):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        code = (
+            "import atexit, gc, runpy, sys; atexit.register(lambda: print("
+            "'frozen', gc.get_freeze_count(), file=sys.stderr)); " + launch
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "analyze", "--g6", g6], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == exit_code, proc.stderr
+        word, count = proc.stderr.splitlines()[-1].split()
+        assert word == "frozen" and int(count) > 0
+
+    def test_script_names_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"lafr": "lafr.cli:run"}
+
+    def test_written_report_survives_the_frozen_heap(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = tmp_path / "prime5.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lafr.cli", "campaign", "prime5", "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        details = json.loads(out.read_text())["details"]
+        assert details["connected_graphs"] == 728 and details["positives"] == 65
 
 
 class TestPublicSurface:
