@@ -45,7 +45,6 @@ from .revival import (
     class_gcd,
     decide_proper_lafr,
     earliest_common_lafr_time,
-    two_vertex_time_class,
 )
 from .spectral import (
     PairPartition,
@@ -90,5 +89,4 @@ __all__ = [
     "all_lafr_pairs",
     "earliest_common_lafr_time",
     "class_gcd",
-    "two_vertex_time_class",
 ]

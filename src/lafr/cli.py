@@ -45,13 +45,12 @@ from .graphs import (
     to_graph6,
 )
 
-_NAME_PATTERN = re.compile(r"^([KPCOE])(\d+)$")
+_NAME_PATTERN = re.compile(r"^([KPCO])(\d+)$")
 _NAME_FAMILIES = {
     "K": "complete",
     "P": "path",
     "C": "cycle",
     "O": "empty",
-    "E": "empty",
 }
 _MAX_N = 500  # largest vertex count taken by analyze, periodic and construct
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, a shell's status for a writer whose reader left

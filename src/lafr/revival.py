@@ -52,12 +52,6 @@ class RevivalStatus(str, Enum):
     PROPER = "PROPER"
 
 
-class TwoVertexClass(str, Enum):
-    PERIODIC = "PERIODIC"
-    PST = "PST"
-    PROPER = "PROPER"
-
-
 @dataclass(frozen=True)
 class PhaseRational:
     """A root of unity exp(2*pi*i*k/g), kept as the residue pair (k, g)."""
@@ -120,15 +114,6 @@ def _on_grid(num: int, den: int, g: int) -> bool:
     return num * g % (2 * den) == 0
 
 
-def two_vertex_time_class(num: int, den: int) -> TwoVertexClass:
-    """Class of time (num/den)*pi on the single edge's TWO_VERTEX_SCHEDULE."""
-    if _on_grid(num, den, 2):
-        return TwoVertexClass.PERIODIC
-    if _on_grid(num, den, 4):
-        return TwoVertexClass.PST
-    return TwoVertexClass.PROPER
-
-
 def isolated_edges(g: Graph) -> list[tuple[int, int]]:
     """Single-edge components, which follow the two-vertex schedule."""
     degs = g.degrees()
@@ -141,7 +126,7 @@ def class_gcd(part: PairPartition) -> int:
         # singleton classes happen exactly when {a, b} is an isolated edge
         raise SpecialSmallGraphError(
             f"pair {part.a},{part.b} is an isolated edge: it follows the "
-            "two-vertex schedule (see two_vertex_time_class)"
+            "two-vertex schedule"
         )
     return gcd(*(x - low for cls in (part.plus, part.minus) for low in [min(cls)] for x in cls))
 
@@ -193,7 +178,7 @@ def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
 def earliest_common_lafr_time(g: Graph) -> PiRational | None:
     """Earliest proper revival time over all pairs, 2*pi over the largest
     class gcd, or ``None``.  Isolated edges are excluded (their proper
-    times form a continuum; see :func:`two_vertex_time_class`).
+    times form a continuum; see ``TWO_VERTEX_SCHEDULE``).
     """
     gcds = [d.g for d in all_lafr_pairs(g) if d.status is RevivalStatus.PROPER]
     return two_pi_over(max(gcds)) if gcds else None
@@ -218,11 +203,11 @@ def proper_time_valid(decision: RevivalDecision, num: int, den: int) -> bool:
 def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
     """Pairs with proper revival at exactly time (num/den)*pi.
 
-    Isolated-edge components contribute on the two-vertex continuum
-    schedule; all other pairs go through the characterization.
+    An isolated edge (support {0, 2}, beta = (1 - exp(2it))/2) revives at
+    every time off the pi grid, PST included, as any PROPER pair does.
     """
     pairs = [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
-    if two_vertex_time_class(num, den) is TwoVertexClass.PROPER:
+    if not _on_grid(num, den, 2):
         pairs += isolated_edges(g)
     return pairs
 

@@ -112,7 +112,7 @@ def _binomial_inverse(n: int, p: int):
     If d_j = sum_mu w_mu mu (mu-1)...(mu-j+1) for weights w on {0..n}, then
     w = d T (binomial inversion of d_j / j! = sum_mu C(mu, j) w_mu).  Pascal's
     rule builds it a row at a time: T[j, mu] = (T[j-1, mu-1] - T[j-1, mu]) / j.
-    No entry depends on n: the table for k < n is the block t[:k + 1, :k + 1].
+    No entry depends on n, so the screen builds it only up to its bound.
     """
     import numpy as np
 
@@ -149,7 +149,7 @@ def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
     for mu in range(top + 1):
         diags[:, mu] = m.diagonal()
         m = (m @ lap - mu * m) % p
-    weights = diags @ _binomial_inverse(g.n, p)[: top + 1, : top + 1] % p
+    weights = diags @ _binomial_inverse(top, p) % p
     return tuple(
         tuple(mu for mu, w in enumerate(row) if w) if alive else None
         for alive, row in zip((m == 0).all(axis=0).tolist(), weights.tolist())

@@ -39,6 +39,14 @@ class TestGraphTokens:
     def test_graph6_fallback(self):
         assert graph_from_token("Bw") == complete_graph(3)
 
+    def test_empty_graph_has_one_spelling(self, capsys):
+        # O<n> is the empty graph's shorthand; E3 is read as graph6 and refused
+        assert main(["analyze", "--g6", "E3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error")
+        assert main(["analyze", "--g6", "O3"]) == 0
+        assert capsys.readouterr().out.startswith("graph B?  n=3  edges=0\n")
+
 
 class TestAnalyze:
     def test_p3_json(self, capsys):

@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from conftest import random_graph, transition_matrix
+from conftest import atlas_connected, random_graph, transition_matrix
 from lafr import oracle, revival
 from lafr.errors import NotApplicableError, SpecialSmallGraphError
 from lafr.graphs import (
@@ -26,7 +26,6 @@ from lafr.graphs import (
 from lafr.revival import (
     PhaseRational,
     RevivalStatus,
-    TwoVertexClass,
     all_lafr_pairs,
     check_cartesian_product_rule,
     check_complement_transfer,
@@ -40,7 +39,6 @@ from lafr.revival import (
     has_proper_lafr_at,
     proper_time_valid,
     two_pi_over,
-    two_vertex_time_class,
 )
 from lafr.spectral import PairPartition
 
@@ -164,21 +162,7 @@ class TestDecide:
 
 
 class TestTwoVertexSchedule:
-    def test_periodic(self):
-        assert two_vertex_time_class(1, 1) is TwoVertexClass.PERIODIC
-        assert two_vertex_time_class(4, 2) is TwoVertexClass.PERIODIC
-
-    def test_pst(self):
-        assert two_vertex_time_class(1, 2) is TwoVertexClass.PST
-        assert two_vertex_time_class(3, 2) is TwoVertexClass.PST
-
-    def test_proper(self):
-        assert two_vertex_time_class(2, 3) is TwoVertexClass.PROPER
-        assert two_vertex_time_class(1, 7) is TwoVertexClass.PROPER
-
     def test_zero_denominator_is_no_time(self):
-        with pytest.raises(ValueError, match="denominator must be nonzero"):
-            two_vertex_time_class(1, 0)
         with pytest.raises(ValueError, match="denominator must be nonzero"):
             check_complement_transfer(cycle_graph(4), 1, 0)
 
@@ -237,12 +221,15 @@ class TestGridRule:
     """The integer grid rule agrees with the Fraction formulas it replaced,
     written out here, on every time of ``GRID_TIMES``."""
 
-    def test_two_vertex_time_class(self):
+    def test_isolated_edge_schedule(self):
+        # K2 is periodic exactly on the pi grid and revives exactly off it,
+        # perfect state transfer at odd multiples of pi/2 included
         for num, den in GRID_TIMES:
-            want = {1: TwoVertexClass.PERIODIC, 2: TwoVertexClass.PST}.get(
-                Fraction(num, den).denominator, TwoVertexClass.PROPER
-            )
-            assert two_vertex_time_class(num, den) is want, (num, den)
+            if Fraction(num, den) <= 0:
+                continue
+            on_grid = Fraction(num, den).denominator == 1
+            assert has_periodic_vertex_at(path_graph(2), num, den) == on_grid, (num, den)
+            assert has_proper_lafr_at(path_graph(2), num, den) != on_grid, (num, den)
 
     @pytest.mark.parametrize(
         "graph, pair",
@@ -306,7 +293,7 @@ class TestTimeMembership:
         assert has_proper_lafr_at(path_graph(3), 2, 3)
         assert not has_proper_lafr_at(path_graph(3), 2, 1)
         assert has_proper_lafr_at(path_graph(2), 1, 3)
-        assert not has_proper_lafr_at(path_graph(2), 1, 2)  # PST, not proper
+        assert has_proper_lafr_at(path_graph(2), 1, 2)  # PST, as for every PROPER pair
 
 
 class TestCartesianRule:
@@ -322,6 +309,14 @@ class TestCartesianRule:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             check_cartesian_product_rule(path_graph(2), path_graph(3), 0, 1)
+
+    def test_small_factors_with_an_edge(self):
+        # y = K2 or K2 + K1: where x has a vertex periodic at pi/2, the
+        # product's fibers are PST there, as K2 is, and both sides count it
+        ys = [path_graph(2), disjoint_union(path_graph(2), empty_graph(1))]
+        times = [(1, 2), (3, 2), (1, 4), (1, 1), (2, 3), (1, 3)]
+        for x, y, (num, den) in product(atlas_connected(4), ys, times):
+            assert check_cartesian_product_rule(x, y, num, den), (x.edges, y.n, num, den)
 
     def test_random_products(self):
         rng = Random(79)
