@@ -162,6 +162,28 @@ class TestDecide:
 
 
 class TestTwoVertexSchedule:
+    """K2 is periodic on the pi grid and revives everywhere off it."""
+
+    def test_periodic(self):
+        for num, den in [(1, 1), (4, 2)]:
+            assert has_periodic_vertex_at(path_graph(2), num, den)
+            assert not has_proper_lafr_at(path_graph(2), num, den)
+
+    def test_pst(self):
+        # odd multiples of pi/2 are perfect state transfer, counted as revival
+        for num, den in [(1, 2), (3, 2)]:
+            assert has_proper_lafr_at(path_graph(2), num, den)
+            assert not has_periodic_vertex_at(path_graph(2), num, den)
+            u = transition_matrix(path_graph(2), num * math.pi / den).entries
+            assert abs(u[0, 1]) == pytest.approx(1.0)
+
+    def test_proper(self):
+        for num, den in [(2, 3), (1, 7)]:
+            assert has_proper_lafr_at(path_graph(2), num, den)
+            assert not has_periodic_vertex_at(path_graph(2), num, den)
+            u = transition_matrix(path_graph(2), num * math.pi / den).entries
+            assert 1e-9 < abs(u[0, 1]) < 1 - 1e-9
+
     def test_zero_denominator_is_no_time(self):
         with pytest.raises(ValueError, match="denominator must be nonzero"):
             check_complement_transfer(cycle_graph(4), 1, 0)
@@ -221,7 +243,7 @@ class TestGridRule:
     """The integer grid rule agrees with the Fraction formulas it replaced,
     written out here, on every time of ``GRID_TIMES``."""
 
-    def test_isolated_edge_schedule(self):
+    def test_two_vertex_time_class(self):
         # K2 is periodic exactly on the pi grid and revives exactly off it,
         # perfect state transfer at odd multiples of pi/2 included
         for num, den in GRID_TIMES:
