@@ -8,7 +8,8 @@ in [0, top], top = min(n, 2 * max degree), so the support is all-integer
 exactly when Q e_a = 0 for Q = prod_{mu=0..top} (L - mu).  The one per-graph
 cache :func:`vertex_spectra` decides all vertices, one batch per candidate:
 
-1. Screen modulo a prime p, one numpy pass per graph (:func:`_screen`).  A
+1. Screen modulo a prime p, one numpy pass per stack of Laplacians of one
+   order and bound (:func:`_screen`); a graph alone is a stack of one.  A
    nonzero column a of Q mod p means Q e_a != 0 over the integers, which
    rules an all-integer support out exactly.  For every other vertex the
    diagonals of the partial products prod_{mu<j} (L - mu), j <= top, give
@@ -131,28 +132,43 @@ def _operator(g: Graph) -> tuple[np.ndarray, int]:
     (:func:`vertex_spectra` finishes one graph before the next)."""
     import numpy as np
 
-    lap = np.array(laplacian(g), dtype=float)
+    lap = np.array(laplacian(g), dtype=float).reshape(g.n, g.n)  # (0, 0) at n = 0
     lap.flags.writeable = False
     return lap, 2 * max(g.degrees(), default=0)
 
 
-def _screen(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
-    """Candidate support of every vertex modulo ``p``: ``None`` where the
-    column of Q mod p is nonzero, else the mu of nonzero weight mod p."""
+def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Screen a (B, n, n) float64 stack of Laplacians of one order modulo
+    ``p``, with ``top`` bounding every eigenvalue of each: a (B, n) mask,
+    true where the column of Q mod p vanishes, and the (B, n, top + 1)
+    weights (E_mu)_aa mod p."""
     import numpy as np
 
-    lap, two_delta = _operator(g)
-    top = min(g.n, two_delta)
+    n = laps.shape[-1]
     if (top + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
-        raise ValueError(f"n = {g.n}, bound {top}: too large for exact float64 residues mod {p}")
-    m, diags = np.eye(g.n), np.empty((g.n, top + 1))
+        raise ValueError(f"n = {n}, bound {top}: too large for exact float64 residues mod {p}")
+    # Residues stay signed, in (-p, p): fmod is cheaper than a floor modulus,
+    # and a zero test or the weight transform's bound reads only |entry| < p.
+    shifted = laps.copy()  # L - mu, through a view of its diagonals
+    diagonals = shifted.reshape(len(laps), n * n)[:, :: n + 1]
+    m, diags = np.broadcast_to(np.eye(n), laps.shape), np.empty((*laps.shape[:2], top + 1))
     for mu in range(top + 1):
-        diags[:, mu] = m.diagonal()
-        m = (m @ lap - mu * m) % p
-    weights = diags @ _binomial_inverse(top, p) % p
+        diags[..., mu] = m.diagonal(axis1=1, axis2=2)
+        m = m @ shifted
+        np.fmod(m, p, out=m)
+        diagonals -= 1
+    return (m == 0).all(axis=1), diags @ _binomial_inverse(top, p) % p
+
+
+def _candidates(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
+    """Candidate support of every vertex of ``g`` modulo ``p``, screened as a
+    stack of one: ``None`` where the column of Q mod p is nonzero, else the
+    mu of nonzero weight mod p."""
+    lap, two_delta = _operator(g)
+    alive, weights = _screen(lap[None], min(g.n, two_delta), p)
     return tuple(
-        tuple(mu for mu, w in enumerate(row) if w) if alive else None
-        for alive, row in zip((m == 0).all(axis=0).tolist(), weights.tolist())
+        tuple(mu for mu, w in enumerate(row) if w) if ok else None
+        for ok, row in zip(alive[0].tolist(), weights[0].tolist())
     )
 
 
@@ -203,7 +219,7 @@ def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
     out: list[VertexSpectrum | None] = [None] * g.n
     todo, p = range(g.n), PRIME
     while True:
-        candidates = _screen(g, p)
+        candidates = _candidates(g, p)
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in todo:
             if candidates[v] is not None:

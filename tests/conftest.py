@@ -10,7 +10,9 @@ dense walk operator U(t) that the oracle's row and column reads are
 checked against, the pair leakage that the oracle's scan composes, the
 psi route (characteristic polynomial, integer roots and idempotents) that
 the vertex-local spectra are checked against, the spanning-tree count by
-the matrix-tree theorem, and the bitmask of a labeled graph.
+the matrix-tree theorem, the bitmask of a labeled graph, and the free
+trees found by filtering every rooted tree, which the direct generator in
+``lafr.trees`` is checked against.
 """
 
 import functools
@@ -468,6 +470,59 @@ def support_product_divides_trees(g: Graph, a: int) -> bool:
         raise NotApplicableError("vertex support is not all-integer")
     outside = prod(mu for mu in spec.roots if mu not in sup)
     return spanning_tree_count(g) % outside == 0
+
+
+def rooted_level_sequences(n: int):
+    """Yield the canonical level sequence of every unlabeled rooted tree.
+
+    Sequences start at level 0 for the root and are produced in decreasing
+    lexicographic order, beginning with the path, by the constant-time
+    successor rule: truncate at the last entry above level 1 and tile the
+    segment from its parent onwards.
+    """
+    if n < 1:
+        raise ValueError("trees need at least one vertex")
+    seq = list(range(n))
+    while True:
+        yield tuple(seq)
+        p = None
+        for i in range(n - 1, 0, -1):
+            if seq[i] > 1:
+                p = i
+                break
+        if p is None:
+            return
+        q = None
+        for i in range(p - 1, -1, -1):
+            if seq[i] == seq[p] - 1:
+                q = i
+                break
+        block = seq[q:p]
+        seq = seq[:p]
+        while len(seq) < n:
+            seq.extend(block[: n - len(seq)])
+
+
+def centroid_rooted(seq: tuple[int, ...]) -> bool:
+    """Whether a canonical level sequence is the one kept for its free tree:
+    no subtree of the root holds more than half the vertices, and when one
+    holds exactly half (two centroids) the rest of the tree is at least that
+    half, as a sequence.  The root's subtrees are the runs starting at each
+    level-1 entry.
+    """
+    n = len(seq)
+    starts = [i for i, level in enumerate(seq) if level == 1] + [n]
+    for i, j in zip(starts, starts[1:]):
+        if 2 * (j - i) > n:
+            return False
+        if 2 * (j - i) == n:
+            return seq[:i] + seq[j:] >= tuple(level - 1 for level in seq[i:j])
+    return True
+
+
+def reference_free_trees(n: int) -> list[tuple[int, ...]]:
+    """The centroid-rooted level sequences, by filtering every rooted tree."""
+    return [seq for seq in rooted_level_sequences(n) if centroid_rooted(seq)]
 
 
 @pytest.fixture(scope="session")

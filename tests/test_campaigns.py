@@ -34,7 +34,7 @@ from lafr.graphs import (
     to_graph6,
 )
 from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
-from lafr.trees import free_trees
+from lafr.trees import MAX_TREE_N, free_trees, tree_from_level_sequence
 
 
 class TestMaskCorpus:
@@ -153,14 +153,28 @@ class TestTreeCampaign:
         with pytest.raises(ValueError):
             campaign_trees(1)
         with pytest.raises(ValueError):
-            campaign_trees(17)
+            campaign_trees(MAX_TREE_N + 1)
+
+    def test_screen_leaves_only_the_star(self, monkeypatch):
+        # the one tree per order with two surviving columns is decided exactly
+        decided, real = [], campaigns._has_proper_pair
+        monkeypatch.setattr(campaigns, "_has_proper_pair", lambda g: decided.append(g) or real(g))
+        assert campaign_trees(12).passed
+        stars = [[1] * (n - 1) + [n - 1] for n in range(3, 13)]
+        assert [sorted(g.degrees()) for g in decided] == stars
 
     def test_every_revival_on_four_or_more_vertices_fails(self, monkeypatch):
+        # every column survives the screen, so every tree is decided
         proper = SimpleNamespace(status=RevivalStatus.PROPER)
         monkeypatch.setattr(campaigns, "all_lafr_pairs", lambda g: [proper])
+        monkeypatch.setattr(
+            campaigns, "_screen", lambda laps, top, p: (np.ones(laps.shape[:2], dtype=bool), None)
+        )
         result = campaign_trees(6)
         assert not result.passed
-        bigger = [to_graph6(t) for n in (4, 5, 6) for t in free_trees(n)]
+        bigger = [
+            to_graph6(tree_from_level_sequence(seq)) for n in (4, 5, 6) for seq in free_trees(n)
+        ]
         assert len(bigger) == 11 and result.counterexamples == bigger
         assert result.details["graphs_with_proper_pairs"][2:] == bigger
         assert result.details["counts_per_n"] == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6}
@@ -193,6 +207,13 @@ class TestPrimeFiveCampaign:
         result = campaign_prime_order(5)
         assert result.details["positives"] == len(brute)
         assert result.details["positive_masks_sample"] == brute[:16]
+
+    def test_screen_leaves_twelve_classes(self, monkeypatch):
+        # of the 21 connected classes, those with two surviving columns
+        decided, real = [], campaigns._has_proper_pair
+        monkeypatch.setattr(campaigns, "_has_proper_pair", lambda g: decided.append(g) or real(g))
+        assert campaign_prime_order(5).details["positive_classes"] == 4
+        assert len(decided) == 12 and all(is_connected(g) for g in decided)
 
     def test_double_cone_k3_is_positive(self):
         g = mask_to_graph(5, graph_to_mask(double_cone(complete_graph(3))))

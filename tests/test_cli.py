@@ -470,6 +470,13 @@ class TestCampaignCommand:
         assert main(["campaign", name, "--max-n", "3"]) == 2
         assert f"sizes the trees campaign only, not {name}" in capsys.readouterr().err
 
+    def test_max_n_help_states_the_tree_range(self, capsys):
+        # the help is written without importing the tree module, so pin it here
+        from lafr.trees import MAX_TREE_N
+
+        assert main(["campaign", "--help"]) == 0
+        assert f"2..{MAX_TREE_N} (default 10)" in " ".join(capsys.readouterr().out.split())
+
     def test_trees_default_size(self, monkeypatch, capsys):
         # no --max-n leaves campaign_trees its own default
         sizes, real = [], campaigns.campaign_trees

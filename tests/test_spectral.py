@@ -48,7 +48,7 @@ from lafr.spectral import (
     strong_cospectral,
     vertex_spectra,
 )
-from lafr.trees import free_trees
+from lafr.trees import free_trees, tree_from_level_sequence
 
 
 def zero_class(g, part):
@@ -308,8 +308,8 @@ class TestReferenceAgreement:
     @pytest.mark.slow
     def test_free_trees_upto_11(self):
         for n in range(1, 12):
-            for g in free_trees(n):
-                assert_matches_reference(g)
+            for seq in free_trees(n):
+                assert_matches_reference(tree_from_level_sequence(seq))
 
     def test_analyze_graphs(self):
         graphs = [
@@ -363,7 +363,7 @@ def dtypes(g):
 def lie_at_first_prime(monkeypatch, vertex, edit):
     """Replace the screen's candidate for ``vertex`` at the first prime by
     ``edit(candidate)``; returns the list of primes screened."""
-    real, primes = spectral._screen, []
+    real, primes = spectral._candidates, []
 
     def screen(g, p):
         primes.append(p)
@@ -372,7 +372,7 @@ def lie_at_first_prime(monkeypatch, vertex, edit):
             candidates[vertex] = edit(candidates[vertex])
         return tuple(candidates)
 
-    monkeypatch.setattr(spectral, "_screen", screen)
+    monkeypatch.setattr(spectral, "_candidates", screen)
     return primes
 
 
@@ -382,7 +382,7 @@ class TestCertificate:
 
     def _check(self, monkeypatch, g, a, edit):
         truth = keys(vertex_spectra(g))
-        bad = edit(spectral._screen(g, spectral.PRIME)[a])
+        bad = edit(spectral._candidates(g, spectral.PRIME)[a])
         assert spectral._certify(g, bad, [a]) == [None]
         vertex_spectra.cache_clear()
         primes = lie_at_first_prime(monkeypatch, a, edit)
@@ -402,7 +402,7 @@ class TestCertificate:
         # a P4 end has the support {0, 2 - sqrt 2, 2, 2 + sqrt 2}; a prime
         # under which its column of Q vanished could pass it on as {0, 2}
         g = path_graph(4)
-        assert spectral._screen(g, spectral.PRIME)[0] is None
+        assert spectral._candidates(g, spectral.PRIME)[0] is None
         self._check(monkeypatch, g, 0, lambda s: (0, 2))
 
 
@@ -421,7 +421,7 @@ class TestCertificate:
             return spec and (spec.support, spec.signs.tolist(), spec.columns.tolist())
 
         g = cycle_graph(6)
-        support = spectral._screen(g, spectral.PRIME)[0]
+        support = spectral._candidates(g, spectral.PRIME)[0]
         wrong = [support[:-1], support + (5,)]
         in_floats = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
         graphs = [
@@ -434,10 +434,10 @@ class TestCertificate:
         decisions = [all_lafr_pairs(h) for h in graphs]
         assert [dtypes(h) for h in graphs] == [{np.dtype(np.int64)}] * len(graphs)
         # the screen's float64 bound reads _FLOAT_EXACT too, so it runs first
-        screen = functools.cache(spectral._screen)
+        screen = functools.cache(spectral._candidates)
         for h in graphs:
             screen(h, spectral.PRIME)
-        monkeypatch.setattr(spectral, "_screen", screen)
+        monkeypatch.setattr(spectral, "_candidates", screen)
         monkeypatch.setattr(spectral, "_FLOAT_EXACT", 0)
         in_ints = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
         assert [list(map(certified, c)) for c in in_ints] == [
@@ -474,21 +474,21 @@ class TestScreenBound:
         # top = n = k + 1 = lambda_max: the spectrum is 0, 1 (k - 1 times), n
         g = star(k)
         leaf = (0, 1, g.n) if k > 1 else (0, g.n)
-        assert spectral._screen(g, spectral.PRIME) == ((0, g.n),) + (leaf,) * k
+        assert spectral._candidates(g, spectral.PRIME) == ((0, g.n),) + (leaf,) * k
         assert_matches_reference(g)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_edgeless(self, n):
         # top = 0: Q = L = 0 and every vertex has the support {0}
         g = empty_graph(n)
-        assert spectral._screen(g, spectral.PRIME) == ((0,),) * n
+        assert spectral._candidates(g, spectral.PRIME) == ((0,),) * n
         assert [spec.support for spec in vertex_spectra(g)] == [(0,)] * n
 
     def test_c300(self):
         # top = 4, far below n = 300; every support holds an irrational
         # 2 - 2 cos(2 pi k / 300), so no vertex is all-integer
         g = cycle_graph(300)
-        assert spectral._screen(g, spectral.PRIME) == (None,) * 300
+        assert spectral._candidates(g, spectral.PRIME) == (None,) * 300
         assert all_lafr_pairs(g) == []
 
     def test_guard_limits_the_bound_not_n(self, monkeypatch, undecided):
@@ -498,6 +498,37 @@ class TestScreenBound:
         assert eigenvalue_support(cycle_graph(6), 0) == {0, 1, 3, 4}
         with pytest.raises(ValueError, match="n = 6, bound 6"):
             vertex_spectra(complete_graph(6))
+
+
+class TestStackedScreen:
+    # Graphs of one order and bound screened as one stack get, candidate for
+    # candidate, what each gets screened as a stack of one.
+
+    @staticmethod
+    def _check(graphs):
+        groups = {}
+        for g in graphs:
+            lap, two_delta = spectral._operator(g)
+            groups.setdefault((g.n, min(g.n, two_delta)), []).append((g, lap))
+        assert len(groups) > 1
+        for (n, top), group in groups.items():
+            stack = np.stack([lap for g, lap in group])
+            alive, weights = spectral._screen(stack, top, spectral.PRIME)
+            assert alive.shape == (len(group), n) and weights.shape == (len(group), n, top + 1)
+            for (g, _), ok, rows in zip(group, alive.tolist(), weights.tolist()):
+                stacked = tuple(
+                    tuple(mu for mu, w in enumerate(row) if w) if a else None
+                    for a, row in zip(ok, rows)
+                )
+                assert stacked == spectral._candidates(g, spectral.PRIME)
+
+    def test_free_trees_upto_12(self):
+        self._check([tree_from_level_sequence(s) for n in range(1, 13) for s in free_trees(n)])
+
+    def test_atlas_upto_7(self):
+        from networkx.generators.atlas import graph_atlas_g
+
+        self._check([Graph.from_edges(G.number_of_nodes(), G.edges()) for G in graph_atlas_g()])
 
 
 class TestBinomialInverse:
@@ -536,8 +567,8 @@ class TestOnePass:
     def test_one_screen_and_one_certificate_per_support(self, monkeypatch, undecided):
         # K4 x P3 has two candidate supports; every vertex of P4 is screened out
         g = disjoint_union(cartesian_product(complete_graph(4), path_graph(3)), path_graph(4))
-        supports = {s for s in spectral._screen(g, spectral.PRIME) if s is not None}
-        assert len(supports) == 2 and None in spectral._screen(g, spectral.PRIME)
+        supports = {s for s in spectral._candidates(g, spectral.PRIME) if s is not None}
+        assert len(supports) == 2 and None in spectral._candidates(g, spectral.PRIME)
         calls = []
 
         def recorded(real):
@@ -547,13 +578,13 @@ class TestOnePass:
 
             return call
 
-        for name in ("_screen", "_certify"):
+        for name in ("_candidates", "_certify"):
             monkeypatch.setattr(spectral, name, recorded(getattr(spectral, name)))
         is_periodic(g, 0)
         decide_proper_lafr(g, 0, 1)
         all_lafr_pairs(g)
         build_analysis_report(g)
-        expected = [("_screen", spectral.PRIME)] + [("_certify", s) for s in supports]
+        expected = [("_candidates", spectral.PRIME)] + [("_certify", s) for s in supports]
         assert Counter(calls) == Counter(expected)
 
 
