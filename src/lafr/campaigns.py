@@ -8,8 +8,8 @@ once, exactly, on its least relabeling.  A mask is relabeled by one float64
 product of its bits with powers of two, exact below 2^53, so no verdict
 depends on rounding.  The tree and prime-order campaigns first screen their
 graphs as stacks of Laplacians and decide only those in which two columns
-survive (:func:`_survivors`); the screen drops a graph only when it has no
-proper pair.
+survive (:func:`lafr.spectral._survivors`); the screen drops a graph only
+when it has no proper pair.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .revival import (
     isolated_edges,
     proper_time_valid,
 )
-from .spectral import PRIME, _screen
+from .spectral import _survivors
 from .trees import MAX_TREE_N, free_trees, tree_from_level_sequence, tree_laplacians
 
 # Trees screened at once.  It bounds the (CHUNK, n, n) float64 stacks: larger
@@ -157,31 +157,13 @@ def _has_proper_pair(g: Graph) -> bool:
     return any(d.status is RevivalStatus.PROPER for d in all_lafr_pairs(g))
 
 
-def _survivors(laps: np.ndarray) -> np.ndarray:
-    """How many columns of each Laplacian in the stack survive the screen
-    modulo PRIME; the graphs of one bound min(n, 2 * max degree) are
-    screened together.
-
-    A vertex with an all-integer support has Q e_a = 0 over the integers,
-    so its column survives modulo every prime.  A proper pair needs two
-    such vertices: a graph with fewer than two survivors has none.
-    """
-    n = laps.shape[-1]
-    tops = np.minimum(n, 2 * laps.diagonal(axis1=1, axis2=2).max(axis=1, initial=0))
-    counts = np.zeros(len(laps), dtype=int)
-    for top in set(tops.astype(int).tolist()):
-        group = tops == top
-        counts[group] = _screen(laps[group], top, PRIME)[0].sum(axis=1)
-    return counts
-
-
 def campaign_trees(n_max: int = 10) -> CampaignResult:
     """All free trees up to n_max: revival occurs only on the 2- and 3-paths.
 
     A counterexample is a tree on four or more vertices with a proper
     revival pair; the expected list is empty.  The trees of one order are
     screened as stacks of Laplacians, :data:`CHUNK` at a time, and only a
-    tree with two surviving columns (see :func:`_survivors`) becomes a
+    tree with two surviving columns (see :func:`lafr.spectral._survivors`) becomes a
     graph and is decided exactly.
     """
     if not 2 <= n_max <= MAX_TREE_N:

@@ -73,15 +73,16 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     """Full analysis of one graph.
 
     Without explicit ``pairs`` the decisions cover every pair that is
-    proper or strongly cospectral; with ``pairs`` the listed pairs are
-    decided regardless of outcome, and each must be two distinct vertices
-    of ``g``.  A PROPER pair is verified when its oracle residual is at
-    most ``oracle.RESIDUAL_TOL``.  A note names any isolated edges, which
-    follow the two-vertex schedule instead of the characterization; an
-    explicit pair that is one raises ``SpecialSmallGraphError``.
+    proper or strongly cospectral; with ``pairs`` each listed unordered
+    pair is decided once, whatever its outcome, and must be two distinct
+    vertices of ``g``.  A PROPER pair is verified when its oracle residual
+    is at most ``oracle.RESIDUAL_TOL``.  A note names any isolated edges,
+    which follow the two-vertex schedule instead of the characterization;
+    an explicit pair that is one raises ``SpecialSmallGraphError``.
     """
     start = time.perf_counter()
-    found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in pairs]
+    distinct = sorted({(min(p), max(p)) for p in pairs or ()})
+    found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in distinct]
     decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])
     edges = isolated_edges(g)
     report = {

@@ -1,32 +1,31 @@
 """Eigenvalue supports, periodicity and exact strong cospectrality for every
 vertex of a graph in one pass, without the characteristic polynomial.
 
-The eigenvalue support of vertex a is the set of Laplacian eigenvalues mu
-with E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic
-m_a of least degree with m_a(L) e_a = 0.  By Gershgorin every eigenvalue lies
-in [0, top], top = min(n, 2 * max degree), so the support is all-integer
-exactly when Q e_a = 0 for Q = prod_{mu=0..top} (L - mu).  The one per-graph
-cache :func:`vertex_spectra` decides all vertices, one batch per candidate:
+The eigenvalue support of vertex a is the set of Laplacian eigenvalues mu with
+E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic m_a of
+least degree with m_a(L) e_a = 0.  The exact core (:func:`_spectra`) reads no
+graph: it takes an integer matrix M, similar to a symmetric one, and a bound
+top with every eigenvalue in [0, top].  Row a's support is all-integer exactly
+when Q e_a = 0 for Q = prod_{mu=0..top} (M - mu).  The one per-graph cache
+:func:`vertex_spectra` hands the core a Laplacian and its Gershgorin bound
+min(n, 2 * max degree).  The core decides each candidate's rows in one batch:
 
-1. Screen modulo a prime p, one numpy pass per stack of Laplacians of one
-   order and bound (:func:`_screen`); a graph alone is a stack of one.  A
+1. Screen modulo a prime p, one numpy pass per stack of matrices of one
+   order and bound (:func:`_screen`); a matrix alone is a stack of one.  A
    nonzero column a of Q mod p means Q e_a != 0 over the integers, which
-   rules an all-integer support out exactly.  For every other vertex the
-   diagonals of the partial products prod_{mu<j} (L - mu), j <= top, give
+   rules an all-integer support out exactly.  For every other row the
+   diagonals of the partial products prod_{mu<j} (M - mu), j <= top, give
    the weights (E_mu)_aa mod p by an inverse binomial transform, and the mu
-   of nonzero weight form a candidate support S inside {0..top}.  These are
-   the roots that Berlekamp-Massey would find in the moments (L^k)_aa mod p,
-   without forming the powers of L.
+   of nonzero weight form a candidate support S inside {0..top}: the roots
+   Berlekamp-Massey would find in the moments (M^k)_aa mod p.
 2. Certify S = {nu_0..nu_(s-1)} over the integers (:func:`_certify`) along
-   the chain v_k = prod_{j<k} (L - nu_j) e_a: v_s = 0 puts the support inside
-   S.  Horner's rule on the chain turns v_0..v_(s-1) into l_mu(L) e_a, with
-   l_mu = prod_{nu in S - mu} (t - nu), and l_mu(L) e_a != 0 puts mu in it.
-   Then E_mu e_a = l_mu(L) e_a / l_mu(mu) exactly.
-3. The vertices that fail their certificate are screened again modulo the
-   next prime, so an uncertified candidate never yields a verdict.  Only
-   the finitely many primes that divide every entry of a nonzero Q e_a, or
-   the numerator or denominator of a weight (E_mu)_aa, can mislead the
-   screen, so the retries end.
+   the chain v_k = prod_{j<k} (M - nu_j) e_a: v_s = 0 puts the support inside
+   S.  Horner's rule on the chain turns v_0..v_(s-1) into l_mu(M) e_a, with
+   l_mu = prod_{nu in S - mu} (t - nu), and l_mu(M) e_a != 0 puts mu in it.
+   Then E_mu e_a = l_mu(M) e_a / l_mu(mu) exactly.
+3. The rows that fail their certificate are screened again modulo the next
+   prime, so an uncertified candidate never yields a verdict.  Only so many
+   primes can mislead the screen; past that count :func:`_spectra` raises.
 
 Two vertices with all-integer supports are strongly cospectral exactly when
 their supports agree and so do their columns l_mu(L) e, each scaled by the
@@ -50,9 +49,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 PRIME = 1000003
-# The screen works in float64 on residues in [0, p).  The weight transform
+# The screen works in float64 on residues in (-p, p).  The weight transform
 # adds top + 1 products below (p - 1)^2 each, so float64 BLAS is exact while
-# (top + 1) * (p - 1)^2 < 2^53: top = min(n, 2 * max degree) <= 9006 here.
+# (top + 1) * (p - 1)^2 < 2^53: the eigenvalue bound top <= 9006 here.
 _FLOAT_EXACT = 2**53
 
 
@@ -125,23 +124,18 @@ def _binomial_inverse(n: int, p: int):
     return t
 
 
-@functools.lru_cache(maxsize=1)
-def _operator(g: Graph) -> tuple[np.ndarray, int]:
-    """The Laplacian of ``g`` in float64, read-only, and twice its largest
-    degree: built once per graph for the screen and every support group
-    (:func:`vertex_spectra` finishes one graph before the next)."""
-    import numpy as np
-
-    lap = np.array(laplacian(g), dtype=float).reshape(g.n, g.n)  # (0, 0) at n = 0
-    lap.flags.writeable = False
-    return lap, 2 * max(g.degrees(), default=0)
+def _bounds(laps: np.ndarray) -> np.ndarray:
+    """The Gershgorin bound min(n, 2 * max degree) on the eigenvalues of each
+    Laplacian in a (B, n, n) stack, read from its diagonal."""
+    twice_max_degree = 2 * laps.diagonal(axis1=1, axis2=2).max(axis=1, initial=0)
+    return twice_max_degree.clip(max=laps.shape[-1]).astype(int)
 
 
 def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Screen a (B, n, n) float64 stack of Laplacians of one order modulo
-    ``p``, with ``top`` bounding every eigenvalue of each: a (B, n) mask,
-    true where the column of Q mod p vanishes, and the (B, n, top + 1)
-    weights (E_mu)_aa mod p."""
+    """Screen a (B, n, n) float64 stack of integer matrices modulo ``p``,
+    with ``top`` bounding every eigenvalue of each: a (B, n) mask, true
+    where the column of Q mod p vanishes, and the (B, n, top + 1) weights
+    (E_mu)_aa mod p."""
     import numpy as np
 
     n = laps.shape[-1]
@@ -149,7 +143,7 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"n = {n}, bound {top}: too large for exact float64 residues mod {p}")
     # Residues stay signed, in (-p, p): fmod is cheaper than a floor modulus,
     # and a zero test or the weight transform's bound reads only |entry| < p.
-    shifted = laps.copy()  # L - mu, through a view of its diagonals
+    shifted = laps.copy()  # M - mu, through a view of its diagonals
     diagonals = shifted.reshape(len(laps), n * n)[:, :: n + 1]
     m, diags = np.broadcast_to(np.eye(n), laps.shape), np.empty((*laps.shape[:2], top + 1))
     for mu in range(top + 1):
@@ -160,43 +154,43 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
     return (m == 0).all(axis=1), diags @ _binomial_inverse(top, p) % p
 
 
-def _candidates(g: Graph, p: int) -> tuple[tuple[int, ...] | None, ...]:
-    """Candidate support of every vertex of ``g`` modulo ``p``, screened as a
-    stack of one: ``None`` where the column of Q mod p is nonzero, else the
-    mu of nonzero weight mod p."""
-    lap, two_delta = _operator(g)
-    alive, weights = _screen(lap[None], min(g.n, two_delta), p)
-    return tuple(
-        tuple(mu for mu, w in enumerate(row) if w) if ok else None
-        for ok, row in zip(alive[0].tolist(), weights[0].tolist())
-    )
-
-
-def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[VertexSpectrum | None]:
-    """Check the candidate ``support`` of every vertex in ``verts`` over the
-    integers; ``None`` for a vertex whose support it is not."""
+def _survivors(laps: np.ndarray) -> np.ndarray:
+    """How many columns of each Laplacian in a (B, n, n) stack survive the
+    screen modulo PRIME, one screen per bound: a proper pair needs two
+    vertices with all-integer supports, whose columns survive every prime."""
     import numpy as np
 
-    # Every chain vector and Horner accumulator is a product of (L - nu)
-    # factors applied to e_a, a row of L - nu sums to at most 2 * max degree
-    # + nu in absolute value, and a Horner step scales an accumulator that
-    # lacks factors i and k by |nu_i - nu_k| <= max(nu_i, nu_k).  So entries
-    # stay below prod(2 * max degree + nu): float64 is exact under 2^53,
-    # and Python integers take over above it.
-    lap, two_delta = _operator(g)
-    bound = prod(two_delta + nu for nu in support)
+    tops = _bounds(laps)
+    counts = np.zeros(len(laps), dtype=int)
+    for top in set(tops.tolist()):
+        counts[tops == top] = _screen(laps[tops == top], top, PRIME)[0].sum(axis=1)
+    return counts
+
+
+def _certify(m: np.ndarray, r: int, support: tuple, verts: list) -> list[VertexSpectrum | None]:
+    """Check the candidate ``support`` of every row in ``verts`` over the
+    integers, for the matrix ``m`` of largest absolute row sum ``r``;
+    ``None`` for a row whose support it is not."""
+    import numpy as np
+
+    # Every chain vector and Horner accumulator is a product of (M - nu)
+    # factors applied to e_a; a row of M - nu sums to at most r + nu in
+    # absolute value, and a Horner step scales by |nu_i - nu_k| <= max(nu_i,
+    # nu_k) an accumulator that lacks factors i and k.  So entries stay below
+    # prod(r + nu): float64 is exact under 2^53, Python integers above it.
+    bound = prod(r + nu for nu in support)
     dtype, ints = (float, np.int64) if bound < _FLOAT_EXACT else (object, object)
     if dtype is object:
-        lap = lap.astype(np.int64).astype(object)  # exact Python integers
-    # Axes: nu, entry, vertex.  cols[k] holds v_k = prod_{j<k} (L - nu_j) e_a
+        m = m.astype(np.int64).astype(object)  # exact Python integers
+    # Axes: nu, entry, vertex.  cols[k] holds v_k = prod_{j<k} (M - nu_j) e_a
     # for k < s, and x ends as v_s, zero where the support contains a's.
-    cols = np.empty((len(support), g.n, len(verts)), dtype=ints)
-    x = np.eye(g.n, dtype=dtype)[:, verts]
+    cols = np.empty((len(support), len(m), len(verts)), dtype=ints)
+    x = np.eye(len(m), dtype=dtype)[:, verts]
     for k, nu in enumerate(support):
         cols[k] = x
-        x = lap @ x - nu * x
-    # Horner's rule, as L - nu_k = (L - nu_i) + (nu_i - nu_k): step k turns
-    # cols[i], i < k, into prod_{j<=k, j!=i} (L - nu_j) e_a, so l_mu(L) e_a.
+        x = m @ x - nu * x
+    # Horner's rule, as M - nu_k = (M - nu_i) + (nu_i - nu_k): step k turns
+    # cols[i], i < k, into prod_{j<=k, j!=i} (M - nu_j) e_a, so l_mu(M) e_a.
     nus = np.array(support, dtype=ints)[:, None, None]
     for k in range(1, len(support)):
         cols[:k] *= nus[:k] - nus[k]
@@ -212,25 +206,47 @@ def _certify(g: Graph, support: tuple[int, ...], verts: list[int]) -> list[Verte
     ]
 
 
-@functools.lru_cache(maxsize=64)
-def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
-    """The certified support of every vertex, ``None`` where the support is
-    not all-integer; one pass per graph."""
-    out: list[VertexSpectrum | None] = [None] * g.n
-    todo, p = range(g.n), PRIME
-    while True:
-        candidates = _candidates(g, p)
+def _spectra(m: np.ndarray, top: int) -> tuple[VertexSpectrum | None, ...]:
+    """The certified support of every row of the read-only float64 integer
+    matrix ``m``, ``None`` where it is not all-integer.  Every eigenvalue
+    of ``m`` lies in [0, top], and ``m`` is similar to a symmetric matrix."""
+    r = int(abs(m).sum(axis=1).max(initial=0))
+    # A prime p >= PRIME misleads row a only if it divides the gcd of the
+    # entries of a nonzero Q e_a, or a nonzero (l_mu(M) e_a)_a with mu in
+    # a's support: p > top makes l_mu(mu) a unit mod p, so that is when the
+    # weight (E_mu)_aa = (l_mu(M) e_a)_a / l_mu(mu) vanishes mod p.  Each of
+    # these at most top + 1 integers is at most B = prod_{mu<=top} (r + mu),
+    # so it has fewer than bitlen(B) / (bitlen(PRIME) - 1) prime factors
+    # >= PRIME.  Past that many failed rounds the certificate is at fault.
+    bits = prod(r + mu for mu in range(top + 1)).bit_length()
+    cap = (top + 1) * -(-bits // (PRIME.bit_length() - 1))
+    out: list[VertexSpectrum | None] = [None] * len(m)
+    todo, p = range(len(m)), PRIME
+    for _ in range(cap + 1):
+        alive, weights = (a[0].tolist() for a in _screen(m[None], top, p))
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in todo:
-            if candidates[v] is not None:
-                groups.setdefault(candidates[v], []).append(v)
+            if alive[v]:
+                groups.setdefault(tuple(mu for mu, w in enumerate(weights[v]) if w), []).append(v)
         for support, verts in groups.items():
-            for v, spec in zip(verts, _certify(g, support, verts)):
+            for v, spec in zip(verts, _certify(m, r, support, verts)):
                 out[v] = spec
         todo = [v for verts in groups.values() for v in verts if out[v] is None]
         if not todo:
             return tuple(out)
         p = _next_prime(p)
+    raise RuntimeError(f"vertex {todo[0]}: no certificate after {cap + 1} primes")
+
+
+@functools.lru_cache(maxsize=64)
+def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
+    """The certified support of every vertex, ``None`` where the support is
+    not all-integer; one pass per graph, on its Laplacian."""
+    import numpy as np
+
+    lap = np.array(laplacian(g), dtype=float).reshape(g.n, g.n)  # (0, 0) at n = 0
+    lap.flags.writeable = False
+    return _spectra(lap, int(_bounds(lap[None])[0]))
 
 
 def eigenvalue_support(g: Graph, a: int) -> frozenset[int] | None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import all_graph_masks, graph_to_mask
-from lafr import campaigns, oracle
+from lafr import campaigns, oracle, spectral
 from lafr.campaigns import (
     _has_proper_pair,
     campaign_constructions,
@@ -168,7 +168,7 @@ class TestTreeCampaign:
         proper = SimpleNamespace(status=RevivalStatus.PROPER)
         monkeypatch.setattr(campaigns, "all_lafr_pairs", lambda g: [proper])
         monkeypatch.setattr(
-            campaigns, "_screen", lambda laps, top, p: (np.ones(laps.shape[:2], dtype=bool), None)
+            spectral, "_screen", lambda laps, top, p: (np.ones(laps.shape[:2], dtype=bool), None)
         )
         result = campaign_trees(6)
         assert not result.passed

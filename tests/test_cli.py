@@ -92,6 +92,20 @@ class TestAnalyze:
         [d] = report["decisions"]
         assert d["status"] == "NON_INTEGER_SUPPORT"
 
+    @pytest.mark.parametrize("specs", [["0,2", "0,2"], ["2,0", "0,2"], ["2,0", "0,1", "0,2"]])
+    def test_each_unordered_pair_decided_once(self, capsys, monkeypatch, specs):
+        # a repeated or reversed pair gets one line and one oracle residual
+        residuals, real = [], oracle.decision_residual
+        monkeypatch.setattr(
+            oracle, "decision_residual", lambda g, d: residuals.append(d) or real(g, d)
+        )
+        argv = ["analyze", "--g6", "P3"] + [x for spec in specs for x in ("--pairs", spec)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("  (0,2) PROPER") for line in lines) == 1
+        assert [d.pair for d in residuals] == [(0, 2)]
+        assert len(build_analysis_report(path_graph(3), pairs=[(2, 0), (0, 2)])["decisions"]) == 1
+
     def test_human_output_has_exact_times(self, capsys):
         assert main(["analyze", "--g6", to_graph6(path_graph(3))]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 from pathlib import Path
 from random import Random
@@ -19,8 +20,10 @@ from conftest import (
     eigenprojection_column,
     exact_spectrum,
     idempotents,
+    kernel_basis,
     laplacian_integer_eigenvalues,
     random_graph,
+    split_integer_roots,
     support_product_divides_trees,
     support_size,
 )
@@ -340,13 +343,30 @@ class TestReferenceAgreement:
 
 @pytest.fixture
 def undecided():
-    """Forget every decided graph and its Laplacian, so the next call
-    screens again."""
+    """Forget every decided graph, so the next call screens again."""
     vertex_spectra.cache_clear()
-    spectral._operator.cache_clear()
     yield
     vertex_spectra.cache_clear()
-    spectral._operator.cache_clear()
+
+
+def operator(g):
+    """The Laplacian of ``g`` as the core reads it, read-only float64, and its
+    largest absolute row sum 2 * max degree."""
+    lap = np.array(laplacian(g), dtype=float).reshape(g.n, g.n)
+    lap.flags.writeable = False
+    return lap, 2 * max(g.degrees(), default=0)
+
+
+def candidates(g, p):
+    """The candidate support of every vertex of ``g`` modulo ``p``, screened
+    as a stack of one under the core's bound: ``None`` where the column of
+    Q mod p is nonzero, else the mu of nonzero weight mod p."""
+    lap, _ = operator(g)
+    alive, weights = spectral._screen(lap[None], int(spectral._bounds(lap[None])[0]), p)
+    return tuple(
+        tuple(mu for mu, w in enumerate(row) if w) if ok else None
+        for ok, row in zip(alive[0].tolist(), weights[0].tolist())
+    )
 
 
 def keys(specs):
@@ -363,16 +383,18 @@ def dtypes(g):
 def lie_at_first_prime(monkeypatch, vertex, edit):
     """Replace the screen's candidate for ``vertex`` at the first prime by
     ``edit(candidate)``; returns the list of primes screened."""
-    real, primes = spectral._candidates, []
+    real, primes = spectral._screen, []
 
-    def screen(g, p):
+    def screen(laps, top, p):
         primes.append(p)
-        candidates = list(real(g, p))
+        alive, weights = real(laps, top, p)
         if p == spectral.PRIME:
-            candidates[vertex] = edit(candidates[vertex])
-        return tuple(candidates)
+            row = weights[0, vertex]
+            lie = edit(tuple(np.flatnonzero(row).tolist()) if alive[0, vertex] else None)
+            alive[0, vertex], row[:] = True, np.isin(np.arange(top + 1), lie)
+        return alive, weights
 
-    monkeypatch.setattr(spectral, "_candidates", screen)
+    monkeypatch.setattr(spectral, "_screen", screen)
     return primes
 
 
@@ -382,8 +404,8 @@ class TestCertificate:
 
     def _check(self, monkeypatch, g, a, edit):
         truth = keys(vertex_spectra(g))
-        bad = edit(spectral._candidates(g, spectral.PRIME)[a])
-        assert spectral._certify(g, bad, [a]) == [None]
+        bad = edit(candidates(g, spectral.PRIME)[a])
+        assert spectral._certify(*operator(g), bad, [a]) == [None]
         vertex_spectra.cache_clear()
         primes = lie_at_first_prime(monkeypatch, a, edit)
         assert keys(vertex_spectra(g)) == truth
@@ -402,9 +424,26 @@ class TestCertificate:
         # a P4 end has the support {0, 2 - sqrt 2, 2, 2 + sqrt 2}; a prime
         # under which its column of Q vanished could pass it on as {0, 2}
         g = path_graph(4)
-        assert spectral._candidates(g, spectral.PRIME)[0] is None
+        assert candidates(g, spectral.PRIME)[0] is None
         self._check(monkeypatch, g, 0, lambda s: (0, 2))
 
+    def test_retries_end_at_the_cap(self, monkeypatch, undecided):
+        # C6: r = 2 * max degree = 4 and top = 4, so B = 4 * 5 * 6 * 7 * 8 has
+        # 13 bits, and each of at most top + 1 = 5 integers has at most one
+        # prime factor >= PRIME: after 5 failed rounds the sixth must certify,
+        # so a certificate that always fails raises at the sixth screen
+        real, primes = spectral._screen, []
+
+        def screen(laps, top, p):
+            primes.append(p)
+            assert len(primes) <= 6, "screened past the cap"
+            return real(laps, top, p)
+
+        monkeypatch.setattr(spectral, "_screen", screen)
+        monkeypatch.setattr(spectral, "_certify", lambda *args: [None] * len(args[-1]))
+        with pytest.raises(RuntimeError, match="^vertex 0: no certificate after 6 primes"):
+            vertex_spectra(cycle_graph(6))
+        assert len(primes) == 6
 
     def test_both_tiers_in_one_graph(self):
         # T_16, the threshold graph on sixteen singleton parts: its supports
@@ -421,9 +460,9 @@ class TestCertificate:
             return spec and (spec.support, spec.signs.tolist(), spec.columns.tolist())
 
         g = cycle_graph(6)
-        support = spectral._candidates(g, spectral.PRIME)[0]
+        support = candidates(g, spectral.PRIME)[0]
         wrong = [support[:-1], support + (5,)]
-        in_floats = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
+        in_floats = [spectral._certify(*operator(g), s, list(range(6))) for s in [support, *wrong]]
         graphs = [
             g,
             hypercube(4),
@@ -431,15 +470,20 @@ class TestCertificate:
             cartesian_product(cartesian_product(complete_graph(4), path_graph(3)), cycle_graph(4)),
             hadamard(2),
         ]
+        # the screen's float64 bound reads _FLOAT_EXACT too, so it runs first
+        real, screened = spectral._screen, {}
+
+        def screen(laps, top, p):
+            key = (laps.tobytes(), laps.shape, top, p)
+            if key not in screened:
+                screened[key] = real(laps, top, p)
+            return screened[key]
+
+        monkeypatch.setattr(spectral, "_screen", screen)
         decisions = [all_lafr_pairs(h) for h in graphs]
         assert [dtypes(h) for h in graphs] == [{np.dtype(np.int64)}] * len(graphs)
-        # the screen's float64 bound reads _FLOAT_EXACT too, so it runs first
-        screen = functools.cache(spectral._candidates)
-        for h in graphs:
-            screen(h, spectral.PRIME)
-        monkeypatch.setattr(spectral, "_candidates", screen)
         monkeypatch.setattr(spectral, "_FLOAT_EXACT", 0)
-        in_ints = [spectral._certify(g, s, list(range(6))) for s in [support, *wrong]]
+        in_ints = [spectral._certify(*operator(g), s, list(range(6))) for s in [support, *wrong]]
         assert [list(map(certified, c)) for c in in_ints] == [
             list(map(certified, c)) for c in in_floats
         ]
@@ -474,21 +518,21 @@ class TestScreenBound:
         # top = n = k + 1 = lambda_max: the spectrum is 0, 1 (k - 1 times), n
         g = star(k)
         leaf = (0, 1, g.n) if k > 1 else (0, g.n)
-        assert spectral._candidates(g, spectral.PRIME) == ((0, g.n),) + (leaf,) * k
+        assert candidates(g, spectral.PRIME) == ((0, g.n),) + (leaf,) * k
         assert_matches_reference(g)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_edgeless(self, n):
         # top = 0: Q = L = 0 and every vertex has the support {0}
         g = empty_graph(n)
-        assert spectral._candidates(g, spectral.PRIME) == ((0,),) * n
+        assert candidates(g, spectral.PRIME) == ((0,),) * n
         assert [spec.support for spec in vertex_spectra(g)] == [(0,)] * n
 
     def test_c300(self):
         # top = 4, far below n = 300; every support holds an irrational
         # 2 - 2 cos(2 pi k / 300), so no vertex is all-integer
         g = cycle_graph(300)
-        assert spectral._candidates(g, spectral.PRIME) == (None,) * 300
+        assert candidates(g, spectral.PRIME) == (None,) * 300
         assert all_lafr_pairs(g) == []
 
     def test_guard_limits_the_bound_not_n(self, monkeypatch, undecided):
@@ -508,7 +552,7 @@ class TestStackedScreen:
     def _check(graphs):
         groups = {}
         for g in graphs:
-            lap, two_delta = spectral._operator(g)
+            lap, two_delta = operator(g)
             groups.setdefault((g.n, min(g.n, two_delta)), []).append((g, lap))
         assert len(groups) > 1
         for (n, top), group in groups.items():
@@ -520,7 +564,7 @@ class TestStackedScreen:
                     tuple(mu for mu, w in enumerate(row) if w) if a else None
                     for a, row in zip(ok, rows)
                 )
-                assert stacked == spectral._candidates(g, spectral.PRIME)
+                assert stacked == candidates(g, spectral.PRIME)
 
     def test_free_trees_upto_12(self):
         self._check([tree_from_level_sequence(s) for n in range(1, 13) for s in free_trees(n)])
@@ -529,6 +573,78 @@ class TestStackedScreen:
         from networkx.generators.atlas import graph_atlas_g
 
         self._check([Graph.from_edges(G.number_of_nodes(), G.edges()) for G in graph_atlas_g()])
+
+
+def p4_quotient(sizes):
+    """Q = diag(N) - A_H diag(n) for H = P4 with modules of sizes n, where
+    N_i counts the vertices of the modules next to module i."""
+    adj = [[int(abs(i - j) == 1) for j in range(4)] for i in range(4)]
+    big_n = [sum(x * y for x, y in zip(row, sizes)) for row in adj]
+    return [[big_n[i] * (i == j) - adj[i][j] * sizes[j] for j in range(4)] for i in range(4)]
+
+
+def krylov_support(q, a, hi):
+    """The support of row ``a`` under the integer matrix ``q``, exactly: the
+    roots of the minimal polynomial of e_a, read from the first Krylov vector
+    q^k e_a that depends on the ones before it, or ``None`` where one of them
+    is not an integer in [0, hi]."""
+    vecs = [[int(i == a) for i in range(len(q))]]
+    while not (kernel := kernel_basis([list(row) for row in zip(*vecs)])):
+        vecs.append([sum(x * y for x, y in zip(row, vecs[-1])) for row in q])
+    [coeffs] = kernel  # monic: its last entry, for q^k e_a, is 1
+    assert coeffs[-1] == 1 and all(c.denominator == 1 for c in coeffs)
+    roots, rest = split_integer_roots([int(c) for c in coeffs], 0, hi)
+    assert set(roots.values()) <= {1}  # q is diagonalizable
+    return tuple(sorted(roots)) if rest == [1] else None
+
+
+class TestQuotientCore:
+    # The core reads an integer matrix and its bound, not a graph.  On the
+    # quotient Q of P4 with modules of sizes n, which is not symmetric once
+    # two sizes differ, the eigenvalues are Laplacian eigenvalues of the
+    # whole graph on sum(n) vertices (Cardoso, de Freitas, Martins &
+    # Robbiano, Discrete Math. 313, 2013), so top = min(sum(n), r).
+
+    def test_p4_quotients_match_krylov(self):
+        certified = {}
+        for sizes in product(range(1, 5), repeat=4):
+            q = p4_quotient(sizes)
+            m = np.array(q, dtype=float)
+            m.flags.writeable = False
+            r = max(sum(map(abs, row)) for row in q)
+            for a, spec in enumerate(spectral._spectra(m, min(sum(sizes), r))):
+                assert (spec and spec.support) == krylov_support(q, a, sum(sizes))
+                if spec is None:
+                    continue
+                support = certified[sizes, a] = spec.support
+                signs, columns = spec.signs.tolist(), spec.columns.tolist()
+                cols = [[s * x for x in col] for s, col in zip(signs, columns)]
+                for mu, col in zip(support, cols):  # Q c_mu = mu c_mu, exactly
+                    assert [sum(x * y for x, y in zip(row, col)) for row in q] == [
+                        mu * x for x in col
+                    ]
+                # sum_mu c_mu / l_mu(mu) = e_a
+                dens = [prod(mu - nu for nu in support if nu != mu) for mu in support]
+                total = [sum(Fraction(c[i], d) for c, d in zip(cols, dens)) for i in range(4)]
+                assert total == [int(i == a) for i in range(4)]
+        assert len(certified) == 24
+        assert certified[(2, 3, 3, 2), 0] == (0, 2, 5, 9)
+
+    def test_certificate_bound_reads_the_largest_row_sum(self, monkeypatch, undecided):
+        # r is 2 * max degree for a Laplacian and 2 * max N_i for a quotient
+        real, rs = spectral._certify, []
+
+        def certify(m, r, *rest):
+            rs.append(r)
+            return real(m, r, *rest)
+
+        monkeypatch.setattr(spectral, "_certify", certify)
+        vertex_spectra(star(6))
+        assert set(rs) == {12}
+        rs.clear()
+        q = p4_quotient((2, 3, 3, 2))  # N = (3, 5, 5, 3)
+        spectral._spectra(np.array(q, dtype=float), 10)
+        assert set(rs) == {10}
 
 
 class TestBinomialInverse:
@@ -567,24 +683,24 @@ class TestOnePass:
     def test_one_screen_and_one_certificate_per_support(self, monkeypatch, undecided):
         # K4 x P3 has two candidate supports; every vertex of P4 is screened out
         g = disjoint_union(cartesian_product(complete_graph(4), path_graph(3)), path_graph(4))
-        supports = {s for s in spectral._candidates(g, spectral.PRIME) if s is not None}
-        assert len(supports) == 2 and None in spectral._candidates(g, spectral.PRIME)
+        supports = {s for s in candidates(g, spectral.PRIME) if s is not None}
+        assert len(supports) == 2 and None in candidates(g, spectral.PRIME)
         calls = []
 
         def recorded(real):
-            def call(g, arg, *rest):
-                calls.append((real.__name__, arg))
-                return real(g, arg, *rest)
+            def call(*args):
+                calls.append((real.__name__, args[2]))  # the prime, or the support
+                return real(*args)
 
             return call
 
-        for name in ("_candidates", "_certify"):
+        for name in ("_screen", "_certify"):
             monkeypatch.setattr(spectral, name, recorded(getattr(spectral, name)))
         is_periodic(g, 0)
         decide_proper_lafr(g, 0, 1)
         all_lafr_pairs(g)
         build_analysis_report(g)
-        expected = [("_candidates", spectral.PRIME)] + [("_certify", s) for s in supports]
+        expected = [("_screen", spectral.PRIME)] + [("_certify", s) for s in supports]
         assert Counter(calls) == Counter(expected)
 
 
