@@ -9,7 +9,8 @@ product of its bits with powers of two, exact below 2^53, so no verdict
 depends on rounding.  The tree and prime-order campaigns first screen their
 graphs as stacks of Laplacians and decide only those in which two columns
 survive (:func:`lafr.spectral._survivors`); the screen drops a graph only
-when it has no proper pair.
+when it has no proper pair.  A survivor has one exactly when
+:func:`lafr.revival.earliest_common_lafr_time` finds a time.
 """
 
 from __future__ import annotations
@@ -44,19 +45,19 @@ from .graphs import (
 from .revival import (
     TWO_VERTEX_SCHEDULE,
     RevivalStatus,
-    all_lafr_pairs,
     check_cartesian_product_rule,
     check_complement_transfer,
     check_join_extension,
     check_join_timing,
     check_polygamy_conditions,
     decide_proper_lafr,
+    earliest_common_lafr_time,
     hadamard_partition_check,
     isolated_edges,
     proper_time_valid,
 )
 from .spectral import _survivors
-from .trees import MAX_TREE_N, free_trees, tree_from_level_sequence, tree_laplacians
+from .trees import MAX_TREE_N, free_trees, tree_laplacians
 
 # Trees screened at once.  It bounds the (CHUNK, n, n) float64 stacks: larger
 # chunks screened no faster and held more (4096 at n = 14: 45.7 MB peak, 512:
@@ -153,18 +154,15 @@ def isomorphism_classes(p: int) -> tuple[np.ndarray, np.ndarray]:
 # tree and prime-order campaigns
 
 
-def _has_proper_pair(g: Graph) -> bool:
-    return any(d.status is RevivalStatus.PROPER for d in all_lafr_pairs(g))
-
-
 def campaign_trees(n_max: int = 10) -> CampaignResult:
     """All free trees up to n_max: revival occurs only on the 2- and 3-paths.
 
     A counterexample is a tree on four or more vertices with a proper
     revival pair; the expected list is empty.  The trees of one order are
     screened as stacks of Laplacians, :data:`CHUNK` at a time, and only a
-    tree with two surviving columns (see :func:`lafr.spectral._survivors`) becomes a
-    graph and is decided exactly.
+    tree with two surviving columns (:func:`lafr.spectral._survivors`) is
+    decided exactly.  Its graph is read from its Laplacian: each -1 above
+    the diagonal joins a vertex to its parent in the level sequence.
     """
     if not 2 <= n_max <= MAX_TREE_N:
         raise ValueError(f"tree campaign supports 2 <= n_max <= {MAX_TREE_N}")
@@ -176,11 +174,11 @@ def campaign_trees(n_max: int = 10) -> CampaignResult:
         seqs = free_trees(n)
         counts[n] = len(seqs)
         for first in range(0, len(seqs), CHUNK):
-            chunk = seqs[first : first + CHUNK]
-            for seq in compress(chunk, (_survivors(tree_laplacians(chunk)) >= 2).tolist()):
-                t = tree_from_level_sequence(seq)
+            laps = tree_laplacians(seqs[first : first + CHUNK])
+            for lap in laps[_survivors(laps)]:
+                t = Graph.from_edges(n, np.argwhere(np.triu(lap) < 0).tolist())
                 # the one tree with an isolated edge is the single edge itself
-                if isolated_edges(t) or _has_proper_pair(t):
+                if isolated_edges(t) or earliest_common_lafr_time(t) is not None:
                     graphs_with_proper.append(to_graph6(t))
                     if n >= 4:
                         counterexamples.append(to_graph6(t))
@@ -215,8 +213,10 @@ def campaign_prime_order(p: int) -> CampaignResult:
     # only a connected class with two surviving columns is decided exactly
     survive = np.zeros(len(classes), dtype=bool)
     laps = np.array([laplacian(g) for g in compress(graphs, connected)], dtype=float)
-    survive[connected] = _survivors(laps) >= 2
-    positive = np.array([s and _has_proper_pair(g) for s, g in zip(survive, graphs)])
+    survive[connected] = _survivors(laps)
+    positive = np.array(
+        [s and earliest_common_lafr_time(g) is not None for s, g in zip(survive, graphs)]
+    )
     counterexamples = sorted(
         to_graph6(g) for g, pos in zip(graphs, positive) if pos and is_double_cone(g) is None
     )

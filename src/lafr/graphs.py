@@ -8,7 +8,6 @@ pure functions.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -70,7 +69,6 @@ class Graph:
         return [len(adj[v]) for v in range(self.n)]
 
 
-@functools.lru_cache(maxsize=512)
 def adjacency_sets(g: Graph) -> tuple[frozenset[int], ...]:
     nbrs = [set() for _ in range(g.n)]
     for u, v in g.edges:
@@ -136,13 +134,7 @@ def standard_graph(name: str, n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    non_edges = (
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if (i, j) not in g.edges
-    )
-    return Graph.from_edges(g.n, non_edges)
+    return Graph(g.n, complete_graph(g.n).edges - g.edges)
 
 
 def disjoint_union(x: Graph, y: Graph) -> Graph:

@@ -83,11 +83,10 @@ def build_analysis_report(g: Graph, pairs: list[tuple[int, int]] | None = None) 
     start = time.perf_counter()
     distinct = sorted({(min(p), max(p)) for p in pairs or ()})
     found = all_lafr_pairs(g) if pairs is None else [decide_proper_lafr(g, *p) for p in distinct]
-    decisions = sorted((_decision_dict(g, d) for d in found), key=lambda d: d["pair"])
     edges = isolated_edges(g)
     report = {
         "graph": {"graph6": to_graph6(g), "n": g.n, "edges": g.num_edges},
-        "decisions": decisions,
+        "decisions": [_decision_dict(g, d) for d in found],
         "periodicity": [periodicity_entry(g, v) for v in range(g.n)],
         "runtime_seconds": time.perf_counter() - start,
         "version": __version__,

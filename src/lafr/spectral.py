@@ -155,16 +155,16 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _survivors(laps: np.ndarray) -> np.ndarray:
-    """How many columns of each Laplacian in a (B, n, n) stack survive the
-    screen modulo PRIME, one screen per bound: a proper pair needs two
-    vertices with all-integer supports, whose columns survive every prime."""
+    """True for each Laplacian of a (B, n, n) stack with two columns that
+    survive the screen modulo PRIME (one screen per bound): a proper pair
+    needs two vertices with all-integer supports, surviving every prime."""
     import numpy as np
 
     tops = _bounds(laps)
     counts = np.zeros(len(laps), dtype=int)
     for top in set(tops.tolist()):
         counts[tops == top] = _screen(laps[tops == top], top, PRIME)[0].sum(axis=1)
-    return counts
+    return counts >= 2
 
 
 def _certify(m: np.ndarray, r: int, support: tuple, verts: list) -> list[VertexSpectrum | None]:
@@ -264,11 +264,10 @@ def is_periodic(g: Graph, a: int) -> Periodicity:
     for a support of {0} alone (an isolated vertex), where the walk fixes
     the vertex at every time.
     """
-    check_vertices(g, a)
-    spec = vertex_spectra(g)[a]
-    if spec is None:
+    support = eigenvalue_support(g, a)
+    if support is None:
         return Periodicity(a, False, None)
-    return Periodicity(a, True, gcd(*spec.support) or None)
+    return Periodicity(a, True, gcd(*support) or None)
 
 
 def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:

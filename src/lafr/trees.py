@@ -9,8 +9,8 @@ rooted subtrees of at most (n - 1)/2 vertices each.  A tree with two
 centroids (n even) is an edge between two rooted halves of n/2 vertices,
 rooted at the half whose own sequence is the larger, the other half
 taking its place among that root's subtrees.  The rooted subtrees come
-from the same decomposition, one size at a time.  The campaign reads the
-sequences of one order as a stack of Laplacians, with no graph per tree.
+from the same decomposition, one size at a time.  :func:`tree_laplacians`
+is the one decoder: it reads an order's sequences as a stack of Laplacians.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .graphs import Graph
 
 MAX_TREE_N = 18
 
@@ -68,18 +66,6 @@ def free_trees(n: int) -> list[tuple[int, ...]]:
                 seqs.append(sum(sorted(kids + [below], reverse=True), (0,)))
     seqs.sort(reverse=True)
     return seqs
-
-
-def tree_from_level_sequence(seq) -> Graph:
-    """Graph of a level sequence; each vertex attaches to the nearest
-    earlier vertex one level up."""
-    last: dict[int, int] = {}
-    edges = []
-    for i, level in enumerate(seq):
-        if level:
-            edges.append((last[level - 1], i))
-        last[level] = i
-    return Graph.from_edges(len(seq), edges)
 
 
 def tree_laplacians(seqs) -> np.ndarray:

@@ -12,7 +12,8 @@ psi route (characteristic polynomial, integer roots and idempotents) that
 the vertex-local spectra are checked against, the spanning-tree count by
 the matrix-tree theorem, the bitmask of a labeled graph, and the free
 trees found by filtering every rooted tree, which the direct generator in
-``lafr.trees`` is checked against.
+``lafr.trees`` is checked against, and the graph of a level sequence, which
+its Laplacian stack is checked against.
 """
 
 import functools
@@ -523,6 +524,18 @@ def centroid_rooted(seq: tuple[int, ...]) -> bool:
 def reference_free_trees(n: int) -> list[tuple[int, ...]]:
     """The centroid-rooted level sequences, by filtering every rooted tree."""
     return [seq for seq in rooted_level_sequences(n) if centroid_rooted(seq)]
+
+
+def tree_from_level_sequence(seq) -> Graph:
+    """Graph of a level sequence; each vertex attaches to the nearest
+    earlier vertex one level up.  The reference for ``trees.tree_laplacians``."""
+    last: dict[int, int] = {}
+    edges = []
+    for i, level in enumerate(seq):
+        if level:
+            edges.append((last[level - 1], i))
+        last[level] = i
+    return Graph.from_edges(len(seq), edges)
 
 
 @pytest.fixture(scope="session")

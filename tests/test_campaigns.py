@@ -9,10 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import all_graph_masks, graph_to_mask
+from conftest import all_graph_masks, graph_to_mask, tree_from_level_sequence
 from lafr import campaigns, oracle, spectral
 from lafr.campaigns import (
-    _has_proper_pair,
     campaign_constructions,
     campaign_prime_order,
     campaign_trees,
@@ -33,8 +32,13 @@ from lafr.graphs import (
     threshold_graph,
     to_graph6,
 )
-from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
-from lafr.trees import MAX_TREE_N, free_trees, tree_from_level_sequence
+from lafr.revival import (
+    RevivalStatus,
+    all_lafr_pairs,
+    decide_proper_lafr,
+    earliest_common_lafr_time,
+)
+from lafr.trees import MAX_TREE_N, free_trees
 
 
 class TestMaskCorpus:
@@ -157,16 +161,17 @@ class TestTreeCampaign:
 
     def test_screen_leaves_only_the_star(self, monkeypatch):
         # the one tree per order with two surviving columns is decided exactly
-        decided, real = [], campaigns._has_proper_pair
-        monkeypatch.setattr(campaigns, "_has_proper_pair", lambda g: decided.append(g) or real(g))
+        decided, real = [], campaigns.earliest_common_lafr_time
+        monkeypatch.setattr(
+            campaigns, "earliest_common_lafr_time", lambda g: decided.append(g) or real(g)
+        )
         assert campaign_trees(12).passed
         stars = [[1] * (n - 1) + [n - 1] for n in range(3, 13)]
         assert [sorted(g.degrees()) for g in decided] == stars
 
     def test_every_revival_on_four_or_more_vertices_fails(self, monkeypatch):
         # every column survives the screen, so every tree is decided
-        proper = SimpleNamespace(status=RevivalStatus.PROPER)
-        monkeypatch.setattr(campaigns, "all_lafr_pairs", lambda g: [proper])
+        monkeypatch.setattr(campaigns, "earliest_common_lafr_time", lambda g: (1, 2))
         monkeypatch.setattr(
             spectral, "_screen", lambda laps, top, p: (np.ones(laps.shape[:2], dtype=bool), None)
         )
@@ -210,14 +215,16 @@ class TestPrimeFiveCampaign:
 
     def test_screen_leaves_twelve_classes(self, monkeypatch):
         # of the 21 connected classes, those with two surviving columns
-        decided, real = [], campaigns._has_proper_pair
-        monkeypatch.setattr(campaigns, "_has_proper_pair", lambda g: decided.append(g) or real(g))
+        decided, real = [], campaigns.earliest_common_lafr_time
+        monkeypatch.setattr(
+            campaigns, "earliest_common_lafr_time", lambda g: decided.append(g) or real(g)
+        )
         assert campaign_prime_order(5).details["positive_classes"] == 4
         assert len(decided) == 12 and all(is_connected(g) for g in decided)
 
     def test_double_cone_k3_is_positive(self):
         g = mask_to_graph(5, graph_to_mask(double_cone(complete_graph(3))))
-        assert _has_proper_pair(g) and is_double_cone(g) is not None
+        assert earliest_common_lafr_time(g) is not None and is_double_cone(g) is not None
 
     def test_double_cone_k3_class_keys_to_one_positive(self):
         g = double_cone(complete_graph(3))
@@ -227,7 +234,7 @@ class TestPrimeFiveCampaign:
         }
         assert len(keys) == 1
         g = mask_to_graph(5, keys.pop())
-        assert _has_proper_pair(g) and is_double_cone(g) is not None
+        assert earliest_common_lafr_time(g) is not None and is_double_cone(g) is not None
 
     def test_non_double_cones_fail(self, monkeypatch):
         monkeypatch.setattr(campaigns, "is_double_cone", lambda g: None)

@@ -26,6 +26,7 @@ from conftest import (
     split_integer_roots,
     support_product_divides_trees,
     support_size,
+    tree_from_level_sequence,
 )
 from lafr import oracle, spectral
 from lafr.errors import NonIntegerSupportError, NotApplicableError
@@ -51,7 +52,7 @@ from lafr.spectral import (
     strong_cospectral,
     vertex_spectra,
 )
-from lafr.trees import free_trees, tree_from_level_sequence
+from lafr.trees import free_trees
 
 
 def zero_class(g, part):

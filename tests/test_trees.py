@@ -4,9 +4,9 @@ a cross-check against networkx, and the Laplacian stack."""
 import numpy as np
 import pytest
 
-from conftest import reference_free_trees, rooted_level_sequences
+from conftest import reference_free_trees, rooted_level_sequences, tree_from_level_sequence
 from lafr.graphs import is_connected, laplacian, to_graph6
-from lafr.trees import MAX_TREE_N, free_trees, tree_from_level_sequence, tree_laplacians
+from lafr.trees import MAX_TREE_N, free_trees, tree_laplacians
 
 # unlabeled free trees (n = 1..18, OEIS A000055)
 FREE_TREE_COUNTS = [
