@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from itertools import compress, permutations
+from itertools import compress, islice, permutations
 from math import factorial
 from random import Random
 
@@ -59,9 +59,9 @@ from .revival import (
 from .spectral import _survivors
 from .trees import MAX_TREE_N, free_trees, tree_laplacians
 
-# Trees screened at once.  It bounds the (CHUNK, n, n) float64 stacks: larger
-# chunks screened no faster and held more (4096 at n = 14: 45.7 MB peak, 512:
-# 33.3 MB).
+# Trees screened at once.  It bounds the sequences read from the stream and
+# the (CHUNK, n, n) float64 stacks: larger chunks screened no faster and held
+# more (4096 at n = 14: 45.7 MB peak, 512: 33.3 MB).
 CHUNK = 512
 
 @dataclass
@@ -159,7 +159,8 @@ def campaign_trees(n_max: int = 10) -> CampaignResult:
 
     A counterexample is a tree on four or more vertices with a proper
     revival pair; the expected list is empty.  The trees of one order are
-    screened as stacks of Laplacians, :data:`CHUNK` at a time, and only a
+    read from their stream and screened as stacks of Laplacians,
+    :data:`CHUNK` at a time, so one chunk is held at once, and only a
     tree with two surviving columns (:func:`lafr.spectral._survivors`) is
     decided exactly.  Its graph is read from its Laplacian: each -1 above
     the diagonal joins a vertex to its parent in the level sequence.
@@ -171,10 +172,10 @@ def campaign_trees(n_max: int = 10) -> CampaignResult:
     counts = {}
     graphs_with_proper = []
     for n in range(2, n_max + 1):
-        seqs = free_trees(n)
-        counts[n] = len(seqs)
-        for first in range(0, len(seqs), CHUNK):
-            laps = tree_laplacians(seqs[first : first + CHUNK])
+        seqs, counts[n] = free_trees(n), 0
+        while chunk := list(islice(seqs, CHUNK)):
+            counts[n] += len(chunk)
+            laps = tree_laplacians(chunk)
             for lap in laps[_survivors(laps)]:
                 t = Graph.from_edges(n, np.argwhere(np.triu(lap) < 0).tolist())
                 # the one tree with an isolated edge is the single edge itself
@@ -266,12 +267,13 @@ def campaign_constructions() -> CampaignResult:
     checked = 0
     details: dict = {}
 
-    # every case is counted here, ``weight`` times, and recorded if it fails
-    def case(label: str, ok: bool, weight: int = 1) -> bool:
+    # every case is counted here, ``weight`` times, and recorded if it fails;
+    # a failing case on ``graph`` is labeled with its graph6
+    def case(label: str, ok: bool, weight: int = 1, graph: Graph | None = None) -> bool:
         nonlocal checked
         checked += weight
         if not ok:
-            failures.append(label)
+            failures.append(label if graph is None else f"{label} {to_graph6(graph)}")
         return ok
 
     # one double cone per class, counted for the class's certified orbit
@@ -287,7 +289,7 @@ def campaign_constructions() -> CampaignResult:
                 and d.is_pst == (n == 4)
                 and oracle.decision_residual(g, d) <= oracle.RESIDUAL_TOL
             )
-            case(f"double-cone {to_graph6(g)}", ok, orbit)
+            case("double-cone", ok, orbit, g)
     details["double_cones_checked"] = checked
 
     cartesian_cases = [
@@ -310,7 +312,7 @@ def campaign_constructions() -> CampaignResult:
 
     joins = _battery_joins(Random(20260810))
     for z in joins:
-        case(f"join-timing {to_graph6(z)}", check_join_timing(z))
+        case("join-timing", check_join_timing(z), graph=z)
     details["joins_checked"] = len(joins)
 
     extension_cases = [

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; campaigns run in one process")
     p_cam.add_argument("--json", metavar="PATH", help="write JSON report here")
     p_cam.add_argument("--max-n", type=int,
-                       help="largest tree size for the tree campaign, 2..18 (default 10)")
+                       help="largest tree size for the tree campaign, 2..20 (default 10)")
     p_cam.set_defaults(func=_cmd_campaign)
     return parser
 

@@ -2,7 +2,8 @@
 
 Everything here is double precision and deliberately separate from the
 exact pipeline, so the two routes can check each other.  The workhorses
-are the spectral decomposition of the Laplacian, grid time scans, which
+are the spectral decomposition of the Laplacian, cached for one graph at a
+time because every caller reads one graph at a time, grid time scans, which
 alone read the leakage of a vertex pair's two rows of the walk operator
 U(t) = exp(+i t L) over a vector of times, and the residual of one column
 of U(t).  No dense U(t) is ever built: a scan reads U(t) only through
@@ -32,10 +33,14 @@ _REFINE_STEPS = 10  # refinement steps per candidate time
 _REFINE_PROBES = 7  # probes per bracket and step
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=1)
 def graph_spectrum(g: Graph):
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
-    Laplacian, as numpy's ``eigh`` returns them."""
+    Laplacian, as numpy's ``eigh`` returns them.
+
+    The one entry serves every call on the graph in hand; a call on another
+    graph replaces it, so no other graph's eigenvectors are held.
+    """
     if g.n > _EIGH_MAX_N:
         raise ValueError(f"graph with {g.n} vertices too large for the dense eigensolver")
     return np.linalg.eigh(np.array(laplacian(g), dtype=float))

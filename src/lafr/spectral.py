@@ -6,9 +6,11 @@ E_mu e_a != 0: the roots of the vertex's minimal polynomial, the monic m_a of
 least degree with m_a(L) e_a = 0.  The exact core (:func:`_spectra`) reads no
 graph: it takes an integer matrix M, similar to a symmetric one, and a bound
 top with every eigenvalue in [0, top].  Row a's support is all-integer exactly
-when Q e_a = 0 for Q = prod_{mu=0..top} (M - mu).  The one per-graph cache
-:func:`vertex_spectra` hands the core a Laplacian and its Gershgorin bound
-min(n, 2 * max degree).  The core decides each candidate's rows in one batch:
+when Q e_a = 0 for Q = prod_{mu=0..top} (M - mu).  The one graph-keyed cache,
+:func:`vertex_spectra`, hands the core a Laplacian and its Gershgorin bound
+min(n, 2 * max degree); it holds one entry, the graph in hand, as every caller
+decides one graph at a time.  The core decides each candidate's rows in one
+batch:
 
 1. Screen modulo a prime p, one numpy pass per stack of matrices of one
    order and bound (:func:`_screen`); a matrix alone is a stack of one.  A
@@ -146,9 +148,12 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
     shifted = laps.copy()  # M - mu, through a view of its diagonals
     diagonals = shifted.reshape(len(laps), n * n)[:, :: n + 1]
     m, diags = np.broadcast_to(np.eye(n), laps.shape), np.empty((*laps.shape[:2], top + 1))
+    # The products alternate between two buffers: a fresh array a step would
+    # map and fault in new pages at every step of every stack.
+    products = np.empty((2, *laps.shape))
     for mu in range(top + 1):
         diags[..., mu] = m.diagonal(axis1=1, axis2=2)
-        m = m @ shifted
+        m = np.matmul(m, shifted, out=products[mu % 2])
         np.fmod(m, p, out=m)
         diagonals -= 1
     return (m == 0).all(axis=1), diags @ _binomial_inverse(top, p) % p
@@ -238,10 +243,11 @@ def _spectra(m: np.ndarray, top: int) -> tuple[VertexSpectrum | None, ...]:
     raise RuntimeError(f"vertex {todo[0]}: no certificate after {cap + 1} primes")
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def vertex_spectra(g: Graph) -> tuple[VertexSpectrum | None, ...]:
     """The certified support of every vertex, ``None`` where the support is
-    not all-integer; one pass per graph, on its Laplacian."""
+    not all-integer; one pass per graph, on its Laplacian.  Only the last
+    graph's spectra are kept: a call on another graph replaces them."""
     import numpy as np
 
     lap = np.array(laplacian(g), dtype=float).reshape(g.n, g.n)  # (0, 0) at n = 0

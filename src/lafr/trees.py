@@ -9,17 +9,23 @@ rooted subtrees of at most (n - 1)/2 vertices each.  A tree with two
 centroids (n even) is an edge between two rooted halves of n/2 vertices,
 rooted at the half whose own sequence is the larger, the other half
 taking its place among that root's subtrees.  The rooted subtrees come
-from the same decomposition, one size at a time.  :func:`tree_laplacians`
-is the one decoder: it reads an order's sequences as a stack of Laplacians.
+from the same decomposition, one size at a time.  :func:`free_trees` is a
+lazy stream: it merges the one-centroid trees with the two-centroid trees,
+themselves merged from one stream per larger half, each stream already in
+decreasing order, so an order's trees are never held at once.
+:func:`tree_laplacians` is the one decoder: it reads a chunk of sequences
+as a stack of Laplacians.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+from collections.abc import Iterator
 
 import numpy as np
 
-MAX_TREE_N = 18
+MAX_TREE_N = 20
 
 
 def _forests(total: int, planted: list[tuple[int, ...]], start: int = 0):
@@ -50,22 +56,32 @@ def _rooted(s: int) -> list[tuple[int, ...]]:
     return [(0,) + f for f in _forests(s - 1, _planted(s - 1))]
 
 
-def free_trees(n: int) -> list[tuple[int, ...]]:
+def _bicentroidal(x: tuple[int, ...], halves: list[tuple[int, ...]]):
+    """The two-centroid trees whose larger half is ``x``, one for each half
+    in ``halves`` (those not above ``x``), in decreasing order."""
+    starts = [j for j, level in enumerate(x) if level == 1] + [len(x)]
+    kids = [x[j:k] for j, k in zip(starts, starts[1:])]
+    for y in halves:
+        below = tuple(level + 1 for level in y)
+        yield sum(sorted(kids + [below], reverse=True), (0,))
+
+
+def free_trees(n: int) -> Iterator[tuple[int, ...]]:
     """The centroid-rooted canonical level sequence of every unlabeled free
-    tree on ``n`` vertices, in decreasing order; see the module docstring."""
+    tree on ``n`` vertices, lazily and in decreasing order; see the module
+    docstring.  The size is checked on the call, before any is made."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"tree size must be between 1 and {MAX_TREE_N}")
-    seqs = [(0,) + f for f in _forests(n - 1, _planted((n - 1) // 2))]
-    if n % 2 == 0:
-        halves = _rooted(n // 2)
-        for i, x in enumerate(halves):
-            starts = [j for j, level in enumerate(x) if level == 1] + [len(x)]
-            kids = [x[j:k] for j, k in zip(starts, starts[1:])]
-            for y in halves[i:]:
-                below = tuple(level + 1 for level in y)
-                seqs.append(sum(sorted(kids + [below], reverse=True), (0,)))
-    seqs.sort(reverse=True)
-    return seqs
+    one = ((0,) + f for f in _forests(n - 1, _planted((n - 1) // 2)))
+    if n % 2:
+        return one
+    halves = _rooted(n // 2)
+    # the many two-centroid streams meet in their own heap, so a one-centroid
+    # tree passes through a heap of two
+    two = heapq.merge(
+        *(_bicentroidal(x, halves[i:]) for i, x in enumerate(halves)), reverse=True
+    )
+    return heapq.merge(one, two, reverse=True)
 
 
 def tree_laplacians(seqs) -> np.ndarray:

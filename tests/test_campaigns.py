@@ -159,6 +159,19 @@ class TestTreeCampaign:
         with pytest.raises(ValueError):
             campaign_trees(MAX_TREE_N + 1)
 
+    def test_chunks_are_never_empty(self, monkeypatch):
+        # chunks of 3 end exactly where the 3 trees on 5 vertices and the 6
+        # on 6 do, so an empty chunk would follow each
+        sizes, real = [], campaigns.tree_laplacians
+        monkeypatch.setattr(campaigns, "CHUNK", 3)
+        monkeypatch.setattr(
+            campaigns, "tree_laplacians", lambda seqs: sizes.append(len(seqs)) or real(seqs)
+        )
+        result = campaign_trees(7)
+        assert sizes == [1, 1, 2, 3, 3, 3, 3, 3, 3, 2]
+        assert result.passed
+        assert result.details["counts_per_n"] == {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
+
     def test_screen_leaves_only_the_star(self, monkeypatch):
         # the one tree per order with two surviving columns is decided exactly
         decided, real = [], campaigns.earliest_common_lafr_time

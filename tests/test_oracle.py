@@ -32,7 +32,7 @@ from lafr.graphs import (
 )
 from lafr.reporting import build_analysis_report
 from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr
-from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
+from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral, vertex_spectra
 
 
 class TestEigh:
@@ -245,6 +245,26 @@ class TestGridTable:
         warm = [[oracle.time_scan(g, a, b, 2 * math.pi, 720) for a, b in pairs] for g in graphs]
         assert warm == cold
         assert [len(h) for h in cold[0]] == [0, 2, 0] and len(cold[1][0]) == 4
+
+
+class TestOneGraphHeld:
+    def test_caches_hold_the_graph_in_hand(self):
+        # decide and report A, then B, and scan A, then B: each graph-keyed
+        # cache ends holding B alone, and A's verdicts are made again equal
+        a, b = double_cone(cycle_graph(4)), cycle_graph(6)
+
+        def verdicts(g):
+            report = build_analysis_report(g)
+            del report["runtime_seconds"]
+            return all_lafr_pairs(g), report
+
+        first = verdicts(a)
+        verdicts(b)
+        hits = [oracle.time_scan(g, 0, 1, 2 * math.pi, 720) for g in (a, b)]
+        assert vertex_spectra.cache_info().currsize == 1
+        assert oracle.graph_spectrum.cache_info().currsize == 1
+        assert verdicts(a) == first
+        assert len(hits[0]) == 4 and hits[1] == []
 
 
 class TestTimeScan:

@@ -1,17 +1,21 @@
 """Free-tree enumeration: counts, centroid roots, the filtered reference,
-a cross-check against networkx, and the Laplacian stack."""
+a cross-check against networkx, the lazy stream, and the Laplacian stack."""
+
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import reference_free_trees, rooted_level_sequences, tree_from_level_sequence
+from lafr.campaigns import CHUNK
 from lafr.graphs import is_connected, laplacian, to_graph6
 from lafr.trees import MAX_TREE_N, free_trees, tree_laplacians
 
-# unlabeled free trees (n = 1..18, OEIS A000055)
+# unlabeled free trees (n = 1..20, OEIS A000055)
 FREE_TREE_COUNTS = [
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
-    48629, 123867,
+    48629, 123867, 317955, 823065,
 ]
 # unlabeled rooted trees (n = 1..12)
 ROOTED_TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -49,9 +53,16 @@ class TestRootedEnumeration:
 
 
 class TestFreeTrees:
-    @pytest.mark.parametrize("n", range(1, MAX_TREE_N + 1))
+    @pytest.mark.parametrize(
+        "n",
+        [
+            pytest.param(n, marks=[pytest.mark.slow] if n >= 19 else [])
+            for n in range(1, MAX_TREE_N + 1)
+        ],
+    )
     def test_counts(self, n):
-        assert len(free_trees(n)) == FREE_TREE_COUNTS[n - 1]
+        # counted as they stream: n = 20 as a list would hold 823,065 tuples
+        assert sum(1 for _ in free_trees(n)) == FREE_TREE_COUNTS[n - 1]
 
     @pytest.mark.parametrize(
         "n",
@@ -59,12 +70,12 @@ class TestFreeTrees:
     )
     def test_matches_filtered_reference(self, n):
         # sequence for sequence, in order: the same rooting of each tree
-        assert free_trees(n) == reference_free_trees(n)
+        assert list(free_trees(n)) == reference_free_trees(n)
 
     def test_bicentroidal_children_in_canonical_order(self):
         # P4's centroids are its middle vertices: the half (0, 1) hangs below
         # the other, after that root's deeper subtree
-        assert free_trees(4) == [(0, 1, 2, 1), (0, 1, 1, 1)]
+        assert list(free_trees(4)) == [(0, 1, 2, 1), (0, 1, 1, 1)]
 
     def test_all_are_trees(self):
         for n in range(2, 10):
@@ -97,6 +108,18 @@ class TestFreeTrees:
         with pytest.raises(ValueError):
             free_trees(MAX_TREE_N + 1)
 
+    def test_first_chunk_is_lazy(self):
+        # the first chunk of n = 18 holds a chunk, not the order's 123,867
+        # sequences (23.6 MB as a list)
+        free_trees(18)  # the rooted halves and planted subtrees, cached
+        tracemalloc.start()
+        try:
+            chunk = list(islice(free_trees(18), CHUNK))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chunk) == CHUNK and peak < 2_000_000
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_networkx_corpus(self, n):
         import networkx as nx
@@ -108,7 +131,7 @@ class TestFreeTrees:
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
 def test_laplacian_stack(n):
-    seqs = free_trees(n)
+    seqs = list(free_trees(n))
     want = [laplacian(tree_from_level_sequence(seq)) for seq in seqs]
     assert tree_laplacians(seqs).tolist() == want
     assert tree_laplacians(seqs).dtype == np.float64
