@@ -12,8 +12,9 @@ vertices share a bucket of certified, sign-scaled eigenprojection columns
 verdict touches floating point.  The one small-graph rule is the isolated
 edge: :func:`class_gcd` raises ``SpecialSmallGraphError`` for such a pair,
 and the scan skips it; every other pair on any number of vertices goes
-through the characterization.  The complement-transfer checker decides
-its identity from edge sets; the numeric oracle only cross-checks it in tests.
+through the characterization.  The complement-transfer checker compares
+the proper pairs of a graph and its complement at one time, exactly; the
+numeric oracle only cross-checks it in tests.
 
 Convention: the walk operator is exp(+i t L).  At the earliest revival
 time 2*pi/g the pair amplitudes are (1 + w)/2 and (1 - w)/2 with
@@ -251,18 +252,23 @@ def check_cartesian_product_rule(
 
 
 def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:
-    """Complement identity exp(i*tau*L-complement) = exp(-i*tau*L), exactly.
+    """Complement identity exp(i*tau*L-complement) = exp(-i*tau*L), read
+    through its exact consequence: the same proper pairs at tau.
 
     Applicable when n*tau is a multiple of 2*pi.  Since L + L-complement
     = nI - J and J commutes with L, exp(i*tau*L-complement) =
     exp(i*tau*n) exp(-i*tau*J) exp(-i*tau*L), and both leading factors are
-    the identity on that time grid.  As L(K_n) = nI - J and L adds over
-    edge-disjoint graphs, L + L-complement = nI - J exactly when the edge sets partition E(K_n).
+    the identity on that time grid.  So U_complement(tau) is the complex
+    conjugate of U(tau), entry for entry, and a pair revives properly in
+    one graph at tau exactly when it does in the other.  U(-tau) is the
+    conjugate of U(tau) too, so the pairs are read at |tau|.
     """
     if not _on_grid(tau_num, tau_den, x.n):
         raise NotApplicableError("n * tau must be a multiple of 2*pi")
-    comp = complement(x).edges
-    return x.edges.isdisjoint(comp) and len(x.edges | comp) == x.n * (x.n - 1) // 2
+    num, den = abs(tau_num), abs(tau_den)
+    return sorted(_proper_pairs_at(x, num, den)) == sorted(
+        _proper_pairs_at(complement(x), num, den)
+    )
 
 
 def check_join_timing(z: Graph) -> bool:

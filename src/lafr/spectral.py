@@ -17,9 +17,10 @@ batch:
    nonzero column a of Q mod p means Q e_a != 0 over the integers, which
    rules an all-integer support out exactly.  For every other row the
    diagonals of the partial products prod_{mu<j} (M - mu), j <= top, give
-   the weights (E_mu)_aa mod p by an inverse binomial transform, and the mu
-   of nonzero weight form a candidate support S inside {0..top}: the roots
-   Berlekamp-Massey would find in the moments (M^k)_aa mod p.
+   the weights (E_mu)_aa mod p by an inverse binomial transform, which
+   :func:`_spectra` alone applies, and the mu of nonzero weight form a
+   candidate support S inside {0..top}: the roots Berlekamp-Massey would
+   find in the moments (M^k)_aa mod p.
 2. Certify S = {nu_0..nu_(s-1)} over the integers (:func:`_certify`) along
    the chain v_k = prod_{j<k} (M - nu_j) e_a: v_s = 0 puts the support inside
    S.  Horner's rule on the chain turns v_0..v_(s-1) into l_mu(M) e_a, with
@@ -136,8 +137,9 @@ def _bounds(laps: np.ndarray) -> np.ndarray:
 def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Screen a (B, n, n) float64 stack of integer matrices modulo ``p``,
     with ``top`` bounding every eigenvalue of each: a (B, n) mask, true
-    where the column of Q mod p vanishes, and the (B, n, top + 1) weights
-    (E_mu)_aa mod p."""
+    where the column of Q mod p vanishes, and the (B, n, top + 1)
+    diagonals d_j of prod_{mu<j} (M - mu) mod p, signed in (-p, p).  The
+    weights (E_mu)_aa mod p are d @ _binomial_inverse(top, p) % p."""
     import numpy as np
 
     n = laps.shape[-1]
@@ -156,7 +158,7 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
         m = np.matmul(m, shifted, out=products[mu % 2])
         np.fmod(m, p, out=m)
         diagonals -= 1
-    return (m == 0).all(axis=1), diags @ _binomial_inverse(top, p) % p
+    return (m == 0).all(axis=1), diags
 
 
 def _survivors(laps: np.ndarray) -> np.ndarray:
@@ -228,10 +230,11 @@ def _spectra(m: np.ndarray, top: int) -> tuple[VertexSpectrum | None, ...]:
     out: list[VertexSpectrum | None] = [None] * len(m)
     todo, p = range(len(m)), PRIME
     for _ in range(cap + 1):
-        alive, weights = (a[0].tolist() for a in _screen(m[None], top, p))
+        alive, diags = _screen(m[None], top, p)
+        weights = (diags[0] @ _binomial_inverse(top, p) % p).tolist()
         groups: dict[tuple[int, ...], list[int]] = {}
         for v in todo:
-            if alive[v]:
+            if alive[0, v]:
                 groups.setdefault(tuple(mu for mu, w in enumerate(weights[v]) if w), []).append(v)
         for support, verts in groups.items():
             for v, spec in zip(verts, _certify(m, r, support, verts)):

@@ -1,18 +1,15 @@
 """Enumeration of unlabeled free trees, generated directly.
 
-A free tree is given by the canonical level sequence of its rooting at a
-centroid: the root is at level 0, each vertex attaches to the nearest
-earlier vertex one level up, and the root's subtrees follow in decreasing
-order of their own sequences.  The centroid decomposition builds each one
-once.  A tree with one centroid is a root with a non-increasing run of
-rooted subtrees of at most (n - 1)/2 vertices each.  A tree with two
-centroids (n even) is an edge between two rooted halves of n/2 vertices,
-rooted at the half whose own sequence is the larger, the other half
-taking its place among that root's subtrees.  The rooted subtrees come
-from the same decomposition, one size at a time.  :func:`free_trees` is a
-lazy stream: it merges the one-centroid trees with the two-centroid trees,
-themselves merged from one stream per larger half, each stream already in
-decreasing order, so an order's trees are never held at once.
+A free tree is given by a level sequence rooted at a centroid: the root is
+at level 0 and each vertex attaches to the nearest earlier vertex one level
+up.  The centroid decomposition builds each tree once.  A tree with one
+centroid is a root with a non-increasing run of rooted subtrees of at most
+(n - 1)/2 vertices each, so its sequence is canonical.  A tree with two
+centroids (n even) is an edge between two rooted halves of n/2 vertices:
+the larger half, then the smaller one level down, hung from its root.  The
+rooted subtrees come from the same decomposition, one size at a time.
+:func:`free_trees` is a lazy stream, the one-centroid trees and then the
+two-centroid trees, so an order's trees are never held at once.
 :func:`tree_laplacians` is the one decoder: it reads a chunk of sequences
 as a stack of Laplacians.
 """
@@ -20,8 +17,8 @@ as a stack of Laplacians.
 from __future__ import annotations
 
 import functools
-import heapq
 from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -56,32 +53,18 @@ def _rooted(s: int) -> list[tuple[int, ...]]:
     return [(0,) + f for f in _forests(s - 1, _planted(s - 1))]
 
 
-def _bicentroidal(x: tuple[int, ...], halves: list[tuple[int, ...]]):
-    """The two-centroid trees whose larger half is ``x``, one for each half
-    in ``halves`` (those not above ``x``), in decreasing order."""
-    starts = [j for j, level in enumerate(x) if level == 1] + [len(x)]
-    kids = [x[j:k] for j, k in zip(starts, starts[1:])]
-    for y in halves:
-        below = tuple(level + 1 for level in y)
-        yield sum(sorted(kids + [below], reverse=True), (0,))
-
-
 def free_trees(n: int) -> Iterator[tuple[int, ...]]:
-    """The centroid-rooted canonical level sequence of every unlabeled free
-    tree on ``n`` vertices, lazily and in decreasing order; see the module
-    docstring.  The size is checked on the call, before any is made."""
+    """A centroid-rooted level sequence of every unlabeled free tree on
+    ``n`` vertices, lazily; see the module docstring.  The size is checked
+    on the call, before any is made."""
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"tree size must be between 1 and {MAX_TREE_N}")
     one = ((0,) + f for f in _forests(n - 1, _planted((n - 1) // 2)))
     if n % 2:
         return one
-    halves = _rooted(n // 2)
-    # the many two-centroid streams meet in their own heap, so a one-centroid
-    # tree passes through a heap of two
-    two = heapq.merge(
-        *(_bicentroidal(x, halves[i:]) for i, x in enumerate(halves)), reverse=True
-    )
-    return heapq.merge(one, two, reverse=True)
+    halves = _rooted(n // 2)  # in decreasing order: x is the larger half
+    two = (x + tuple(level + 1 for level in y) for i, x in enumerate(halves) for y in halves[i:])
+    return chain(one, two)
 
 
 def tree_laplacians(seqs) -> np.ndarray:

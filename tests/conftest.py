@@ -10,10 +10,11 @@ dense walk operator U(t) that the oracle's row and column reads are
 checked against, the pair leakage that the oracle's scan composes, the
 psi route (characteristic polynomial, integer roots and idempotents) that
 the vertex-local spectra are checked against, the spanning-tree count by
-the matrix-tree theorem, the bitmask of a labeled graph, and the free
-trees found by filtering every rooted tree, which the direct generator in
-``lafr.trees`` is checked against, and the graph of a level sequence, which
-its Laplacian stack is checked against.
+the matrix-tree theorem, the bitmask of a labeled graph, the free trees
+found by filtering every rooted tree and the canonical form of a rooted
+level sequence, which the direct generator in ``lafr.trees`` is checked
+against, and the graph of a level sequence, which its Laplacian stack is
+checked against.
 """
 
 import functools
@@ -524,6 +525,17 @@ def centroid_rooted(seq: tuple[int, ...]) -> bool:
 def reference_free_trees(n: int) -> list[tuple[int, ...]]:
     """The centroid-rooted level sequences, by filtering every rooted tree."""
     return [seq for seq in rooted_level_sequences(n) if centroid_rooted(seq)]
+
+
+def canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical level sequence of the rooted tree ``seq``, with the
+    same root: each vertex's subtrees sorted into decreasing order,
+    recursively.  The subtrees of the root are the runs starting at each
+    entry one level below it."""
+    base = seq[0]
+    starts = [i for i, level in enumerate(seq) if level == base + 1] + [len(seq)]
+    kids = (canonical(seq[i:j]) for i, j in zip(starts, starts[1:]))
+    return sum(sorted(kids, reverse=True), (base,))
 
 
 def tree_from_level_sequence(seq) -> Graph:

@@ -386,23 +386,29 @@ class TestComplementTransfer:
 
     def test_complement_missing_an_edge_rejected(self, monkeypatch):
         # drop one edge from the complement: L + L-complement is no longer
-        # nI - J, and the exact check says so, as does the oracle
+        # nI - J.  At 2*pi/3, C6 revives on (0, 3), (1, 4) and (2, 5), and
+        # the short complement on (1, 4) alone: the exact check says so, as
+        # does the oracle
         x = cycle_graph(6)
         xbar = complement(x)
         short = Graph(xbar.n, xbar.edges - {min(xbar.edges)})
+        assert revival._proper_pairs_at(x, 2, 3) == [(0, 3), (1, 4), (2, 5)]
+        assert revival._proper_pairs_at(short, 2, 3) == [(1, 4)]
         monkeypatch.setattr(revival, "complement", lambda g: short if g == x else complement(g))
-        assert not check_complement_transfer(x, 1, 3)
-        assert not self._oracle_identity(x, short, 1, 3)
+        assert not check_complement_transfer(x, 2, 3)
+        assert not self._oracle_identity(x, short, 2, 3)
 
     def test_complement_overlapping_x_rejected(self, monkeypatch):
         # add one edge of x to the complement: the two edge sets still cover
-        # every pair, but L + L-complement counts that edge twice
+        # every pair, but L + L-complement counts that edge twice, and at
+        # 2*pi/3 the graph with the extra edge has no proper pair
         x = cycle_graph(6)
         xbar = complement(x)
         extra = Graph(xbar.n, xbar.edges | {min(x.edges)})
+        assert revival._proper_pairs_at(extra, 2, 3) == []
         monkeypatch.setattr(revival, "complement", lambda g: extra if g == x else complement(g))
-        assert not check_complement_transfer(x, 1, 3)
-        assert not self._oracle_identity(x, extra, 1, 3)
+        assert not check_complement_transfer(x, 2, 3)
+        assert not self._oracle_identity(x, extra, 2, 3)
 
 
 class TestJoinTiming:

@@ -7,8 +7,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, prod
+from itertools import islice, product
+from math import comb, factorial, perm, prod
 from pathlib import Path
 from random import Random
 
@@ -52,7 +52,7 @@ from lafr.spectral import (
     strong_cospectral,
     vertex_spectra,
 )
-from lafr.trees import free_trees
+from lafr.trees import free_trees, tree_laplacians
 
 
 def zero_class(g, part):
@@ -358,16 +358,34 @@ def operator(g):
     return lap, 2 * max(g.degrees(), default=0)
 
 
+def weights(diags, top, p):
+    """The weights (E_mu)_aa mod p of the screen's diagonals, as the core
+    reads them."""
+    return diags @ spectral._binomial_inverse(top, p) % p
+
+
+def falling(top, p):
+    """F[mu, j] = mu! / (mu - j)! mod p, zero for j > mu: d = w F gives the
+    diagonals of the weights w, the inverse of :func:`weights`."""
+    return np.array([[perm(mu, j) % p for j in range(top + 1)] for mu in range(top + 1)], float)
+
+
+def supports(alive, w):
+    """The candidate support of each row: ``None`` where the column of Q
+    mod p is nonzero, else the mu of nonzero weight."""
+    return tuple(
+        tuple(mu for mu, x in enumerate(row) if x) if ok else None
+        for ok, row in zip(alive.tolist(), w.tolist())
+    )
+
+
 def candidates(g, p):
     """The candidate support of every vertex of ``g`` modulo ``p``, screened
-    as a stack of one under the core's bound: ``None`` where the column of
-    Q mod p is nonzero, else the mu of nonzero weight mod p."""
+    as a stack of one under the core's bound."""
     lap, _ = operator(g)
-    alive, weights = spectral._screen(lap[None], int(spectral._bounds(lap[None])[0]), p)
-    return tuple(
-        tuple(mu for mu, w in enumerate(row) if w) if ok else None
-        for ok, row in zip(alive[0].tolist(), weights[0].tolist())
-    )
+    top = int(spectral._bounds(lap[None])[0])
+    alive, diags = spectral._screen(lap[None], top, p)
+    return supports(alive[0], weights(diags[0], top, p))
 
 
 def keys(specs):
@@ -388,12 +406,12 @@ def lie_at_first_prime(monkeypatch, vertex, edit):
 
     def screen(laps, top, p):
         primes.append(p)
-        alive, weights = real(laps, top, p)
+        alive, diags = real(laps, top, p)
         if p == spectral.PRIME:
-            row = weights[0, vertex]
-            lie = edit(tuple(np.flatnonzero(row).tolist()) if alive[0, vertex] else None)
-            alive[0, vertex], row[:] = True, np.isin(np.arange(top + 1), lie)
-        return alive, weights
+            [truth] = supports(alive[0, [vertex]], weights(diags[0, [vertex]], top, p))
+            lie = np.isin(np.arange(top + 1), edit(truth))
+            alive[0, vertex], diags[0, vertex] = True, lie @ falling(top, p) % p
+        return alive, diags
 
     monkeypatch.setattr(spectral, "_screen", screen)
     return primes
@@ -558,14 +576,11 @@ class TestStackedScreen:
         assert len(groups) > 1
         for (n, top), group in groups.items():
             stack = np.stack([lap for g, lap in group])
-            alive, weights = spectral._screen(stack, top, spectral.PRIME)
-            assert alive.shape == (len(group), n) and weights.shape == (len(group), n, top + 1)
-            for (g, _), ok, rows in zip(group, alive.tolist(), weights.tolist()):
-                stacked = tuple(
-                    tuple(mu for mu, w in enumerate(row) if w) if a else None
-                    for a, row in zip(ok, rows)
-                )
-                assert stacked == candidates(g, spectral.PRIME)
+            alive, diags = spectral._screen(stack, top, spectral.PRIME)
+            assert alive.shape == (len(group), n) and diags.shape == (len(group), n, top + 1)
+            w = weights(diags, top, spectral.PRIME)
+            for (g, _), ok, rows in zip(group, alive, w):
+                assert supports(ok, rows) == candidates(g, spectral.PRIME)
 
     def test_free_trees_upto_12(self):
         self._check([tree_from_level_sequence(s) for n in range(1, 13) for s in free_trees(n)])
@@ -574,6 +589,13 @@ class TestStackedScreen:
         from networkx.generators.atlas import graph_atlas_g
 
         self._check([Graph.from_edges(G.number_of_nodes(), G.edges()) for G in graph_atlas_g()])
+
+    def test_survivors_build_no_weight_table(self):
+        # the campaigns read only the mask, so no weight transform is made
+        laps = tree_laplacians(list(islice(free_trees(16), 512)))
+        spectral._binomial_inverse.cache_clear()
+        spectral._survivors(laps)
+        assert spectral._binomial_inverse.cache_info().misses == 0
 
 
 def p4_quotient(sizes):
@@ -667,6 +689,13 @@ class TestBinomialInverse:
             for j in range(n + 1)
         ]
         assert spectral._binomial_inverse(n, p).tolist() == want
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_inverts_the_falling_factorials(self, n):
+        # F T = I mod p: the test helper that plants diagonals is exact
+        p = spectral.PRIME
+        ft = falling(n, p) @ spectral._binomial_inverse(n, p) % p
+        assert ft.tolist() == np.eye(n + 1).tolist()
 
 
 class TestOnePass:
