@@ -5,9 +5,9 @@ fractional revival, being strongly cospectral but merely periodic, or
 failing one of the structural requirements.  Every pair, explicit or
 from the all-pairs scan, is decided by :func:`decide_proper_lafr` alone:
 vertex guard, all-integer supports, strong cospectrality, then the class
-gcd of the eigenvalue partition.  The scan decides only pairs whose
-vertices share a bucket of certified, sign-scaled eigenprojection columns
-(see :mod:`lafr.spectral`).  Times are exact: each one made here is
+gcd of the eigenvalue partition.  Decisions read the supports, buckets
+and signs of :func:`lafr.spectral.vertex_spectra`; the scan decides only
+pairs inside a bucket.  Times are exact: each one made here is
 :func:`two_pi_over` of a gcd, each grid test is ``_on_grid``, and no
 verdict touches floating point.  The one small-graph rule is the isolated
 edge: :func:`class_gcd` raises ``SpecialSmallGraphError`` for such a pair,
@@ -63,14 +63,6 @@ class PhaseRational:
     def __post_init__(self):
         if self.g < 1 or not 0 <= self.k < self.g:
             raise ValueError("phase residue must satisfy 0 <= k < g")
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseRational):
-            return NotImplemented
-        return self.k * other.g == other.k * self.g
-
-    def __hash__(self):
-        return hash(self.k / self.g)  # equal ratios round to one float
 
     def amplitudes(self) -> tuple[complex, complex]:
         """The pair amplitudes (1 + w)/2 and (1 - w)/2 for this phase w."""
@@ -161,16 +153,14 @@ def decide_proper_lafr(g: Graph, a: int, b: int) -> RevivalDecision:
 def all_lafr_pairs(g: Graph) -> list[RevivalDecision]:
     """Decisions for every strongly cospectral pair, sorted by pair.
 
-    Vertices with certified all-integer supports are bucketed on their
-    support and sign-scaled eigenprojection columns, and only pairs inside a
-    bucket are decided: two vertices are strongly cospectral exactly when
-    they share a bucket.  An isolated edge follows the two-vertex schedule
-    and is not listed.
+    Only pairs inside a bucket of certified vertices are decided: two
+    vertices are strongly cospectral exactly when they share a bucket.  An
+    isolated edge follows the two-vertex schedule and is not listed.
     """
-    buckets: dict = {}
+    buckets: dict[int, list[int]] = {}
     for v, spec in enumerate(vertex_spectra(g)):
         if spec is not None:
-            buckets.setdefault(spec.key, []).append(v)
+            buckets.setdefault(spec.bucket, []).append(v)
     skip = set(isolated_edges(g))
     pairs = sorted(p for vs in buckets.values() for p in combinations(vs, 2))
     return [decide_proper_lafr(g, *p) for p in pairs if p not in skip]
@@ -202,11 +192,13 @@ def proper_time_valid(decision: RevivalDecision, num: int, den: int) -> bool:
 
 
 def _proper_pairs_at(g: Graph, num: int, den: int) -> list[tuple[int, int]]:
-    """Pairs with proper revival at exactly time (num/den)*pi.
+    """Pairs with proper revival at exactly time (num/den)*pi, read at |t|:
+    U(-t) is the conjugate of U(t), so both revive on the same pairs.
 
     An isolated edge (support {0, 2}, beta = (1 - exp(2it))/2) revives at
     every time off the pi grid, PST included, as any PROPER pair does.
     """
+    num, den = abs(num), abs(den)
     pairs = [d.pair for d in all_lafr_pairs(g) if proper_time_valid(d, num, den)]
     if not _on_grid(num, den, 2):
         pairs += isolated_edges(g)
@@ -260,14 +252,12 @@ def check_complement_transfer(x: Graph, tau_num: int, tau_den: int) -> bool:
     exp(i*tau*n) exp(-i*tau*J) exp(-i*tau*L), and both leading factors are
     the identity on that time grid.  So U_complement(tau) is the complex
     conjugate of U(tau), entry for entry, and a pair revives properly in
-    one graph at tau exactly when it does in the other.  U(-tau) is the
-    conjugate of U(tau) too, so the pairs are read at |tau|.
+    one graph at tau exactly when it does in the other.
     """
     if not _on_grid(tau_num, tau_den, x.n):
         raise NotApplicableError("n * tau must be a multiple of 2*pi")
-    num, den = abs(tau_num), abs(tau_den)
-    return sorted(_proper_pairs_at(x, num, den)) == sorted(
-        _proper_pairs_at(complement(x), num, den)
+    return sorted(_proper_pairs_at(x, tau_num, tau_den)) == sorted(
+        _proper_pairs_at(complement(x), tau_num, tau_den)
     )
 
 

@@ -32,16 +32,17 @@ batch:
 
 Two vertices with all-integer supports are strongly cospectral exactly when
 their supports agree and so do their columns l_mu(L) e, each scaled by the
-sign of its first nonzero entry, so they can be bucketed on that key; the
-signs give the plus and minus classes.  Only certified supports are
-reported: :func:`eigenvalue_support` is ``None`` for a vertex whose support
-is not all-integer, and no decision reads more of such a support.
+sign of its first nonzero entry: :func:`_spectra` buckets them on that key
+once per graph, and decisions read buckets and signs (the plus and minus
+classes), not columns.  Only certified supports are reported:
+:func:`eigenvalue_support` is ``None`` for a vertex whose support is not
+all-integer, and no decision reads more of such a support.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
@@ -85,20 +86,15 @@ class VertexSpectrum:
     scaled by ``signs[i]``, the sign of its first nonzero entry; so
     E_mu e_a = signs[i] * columns[i] / l_mu(mu).  Both are views into the
     arrays of the vertex's support group, in int64 while the certificate
-    bound is below 2^53 and in Python integers above it.
+    bound is below 2^53 and in Python integers above it.  ``bucket`` is the
+    least vertex with the same support and columns: two vertices are
+    strongly cospectral exactly when they share it.
     """
 
     support: tuple[int, ...]
     signs: np.ndarray
     columns: np.ndarray
-
-    @property
-    def key(self) -> tuple:
-        """Equal for two vertices exactly when they are strongly cospectral;
-        the dtype depends only on the graph and the support."""
-        if self.columns.dtype == object:
-            return self.support, tuple(map(tuple, self.columns.tolist()))
-        return self.support, self.columns.tobytes()
+    bucket: int
 
 
 def _next_prime(p: int) -> int:
@@ -145,18 +141,20 @@ def _screen(laps: np.ndarray, top: int, p: int) -> tuple[np.ndarray, np.ndarray]
     n = laps.shape[-1]
     if (top + 1) * (p - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError(f"n = {n}, bound {top}: too large for exact float64 residues mod {p}")
-    # Residues stay signed, in (-p, p): fmod is cheaper than a floor modulus,
-    # and a zero test or the weight transform's bound reads only |entry| < p.
+    # Residues stay signed, m - rint(m / p) * p in (-p, p), cheaper than fmod:
+    # a zero test or the weight transform's bound reads only |entry| < p.
+    # Every product entry is far below 2^53 - p, so q * p and m - q * p are exact.
     shifted = laps.copy()  # M - mu, through a view of its diagonals
     diagonals = shifted.reshape(len(laps), n * n)[:, :: n + 1]
     m, diags = np.broadcast_to(np.eye(n), laps.shape), np.empty((*laps.shape[:2], top + 1))
-    # The products alternate between two buffers: a fresh array a step would
-    # map and fault in new pages at every step of every stack.
-    products = np.empty((2, *laps.shape))
+    # The products alternate between two buffers and the quotients reuse one:
+    # a fresh array a step would map and fault in new pages at every step.
+    products, q = np.empty((2, *laps.shape)), np.empty(laps.shape)
     for mu in range(top + 1):
         diags[..., mu] = m.diagonal(axis1=1, axis2=2)
         m = np.matmul(m, shifted, out=products[mu % 2])
-        np.fmod(m, p, out=m)
+        np.rint(np.multiply(m, 1 / p, out=q), out=q)
+        m -= np.multiply(q, p, out=q)
         diagonals -= 1
     return (m == 0).all(axis=1), diags
 
@@ -207,9 +205,10 @@ def _certify(m: np.ndarray, r: int, support: tuple, verts: list) -> list[VertexS
     signs = np.where(first < 0, -1, 1)
     cols *= signs[:, None]
     ok = (~x.any(axis=0) & (first != 0).all(axis=0)).tolist()
+    # Each row starts in a bucket of its own; _spectra merges them.
     return [
-        VertexSpectrum(support, signs[:, i], cols[:, :, i]) if good else None
-        for i, good in enumerate(ok)
+        VertexSpectrum(support, signs[:, i], cols[:, :, i], v) if good else None
+        for i, (v, good) in enumerate(zip(verts, ok))
     ]
 
 
@@ -241,9 +240,19 @@ def _spectra(m: np.ndarray, top: int) -> tuple[VertexSpectrum | None, ...]:
                 out[v] = spec
         todo = [v for verts in groups.values() for v in verts if out[v] is None]
         if not todo:
-            return tuple(out)
+            break
         p = _next_prime(p)
-    raise RuntimeError(f"vertex {todo[0]}: no certificate after {cap + 1} primes")
+    else:
+        raise RuntimeError(f"vertex {todo[0]}: no certificate after {cap + 1} primes")
+    # Bucket once every row is certified, so no bucket depends on the prime
+    # that certified a row; the dtype depends only on the support.
+    first: dict[tuple, int] = {}
+    for v, spec in enumerate(out):
+        if spec is not None:
+            cols = spec.columns
+            key = cols.tobytes() if cols.dtype != object else repr(cols.tolist())
+            out[v] = replace(spec, bucket=first.setdefault((spec.support, key), v))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=1)
@@ -283,17 +292,16 @@ def strong_cospectral(g: Graph, a: int, b: int) -> PairPartition | None:
     """Exact strong-cospectrality test with the induced eigenvalue classes.
 
     The pair is strongly cospectral exactly when the two vertices share a
-    support and their sign-scaled columns; the classes come from the
-    product of the two signs.  Returns ``None`` when they differ.  Both
-    supports must be all-integer, otherwise the exact test is not
-    attempted.
+    bucket; the classes come from the product of the two signs.  Returns
+    ``None`` when they differ.  Both supports must be all-integer,
+    otherwise the exact test is not attempted.
     """
     check_vertices(g, a, b)
     spec_a, spec_b = vertex_spectra(g)[a], vertex_spectra(g)[b]
     for v, spec in ((a, spec_a), (b, spec_b)):
         if spec is None:
             raise NonIntegerSupportError(f"vertex {v} has non-integer support")
-    if spec_a.key != spec_b.key:
+    if spec_a.bucket != spec_b.bucket:
         return None
     plus = frozenset(
         mu for mu, s, t in zip(spec_a.support, spec_a.signs, spec_b.signs) if s == t

@@ -7,6 +7,7 @@ pipeline is exercised here at its stated tolerance.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from conftest import (
     support_size,
     transition_matrix,
 )
-from lafr import oracle
+from lafr import oracle, spectral
 from lafr.errors import NotApplicableError
 from lafr.graphs import (
     adjacency_sets,
@@ -35,8 +36,9 @@ from lafr.graphs import (
     is_connected,
     laplacian,
 )
-from lafr.revival import RevivalStatus, all_lafr_pairs
-from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral
+from lafr.reporting import build_analysis_report
+from lafr.revival import RevivalStatus, all_lafr_pairs, decide_proper_lafr, isolated_edges
+from lafr.spectral import eigenvalue_support, is_periodic, strong_cospectral, vertex_spectra
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +226,39 @@ class TestPartitionInvariants:
             degs = g.degrees()
             isolated = {(u, v) for u, v in g.edges if degs[u] == degs[v] == 1}
             assert {d.pair for d in decisions} == reference - isolated
+            # each bucket is named by its least vertex
+            specs = vertex_spectra(g)
+            for v in verts:
+                assert specs[v].bucket == min([v] + [a for a, b in reference if b == v])
+
+    def test_decisions_read_no_columns(self, corpus, monkeypatch):
+        # decisions read supports, buckets and signs only: with every cached
+        # spectrum's columns dropped, every reader's output is unchanged
+        def outputs(g):
+            certified = [v for v in range(g.n) if vertex_spectra(g)[v] is not None]
+            skip = set(isolated_edges(g))
+            report = build_analysis_report(g)
+            del report["runtime_seconds"]
+            return (
+                all_lafr_pairs(g),
+                [decide_proper_lafr(g, *p) for p in combinations(range(g.n), 2) if p not in skip],
+                [strong_cospectral(g, *p) for p in combinations(certified, 2)],
+                [is_periodic(g, v) for v in range(g.n)],
+                report,
+            )
+
+        want = [outputs(g) for g in corpus]
+        real = spectral._spectra
+
+        def spectra(m, top):
+            return tuple(spec and replace(spec, columns=None) for spec in real(m, top))
+
+        monkeypatch.setattr(spectral, "_spectra", spectra)
+        vertex_spectra.cache_clear()
+        try:
+            assert [outputs(g) for g in corpus] == want
+        finally:
+            vertex_spectra.cache_clear()  # no later test reads a spectrum without columns
 
     def test_equal_degrees(self, corpus_pairs):
         for g, decisions in corpus_pairs:

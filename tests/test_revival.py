@@ -72,10 +72,13 @@ class TestClassGcd:
 
 class TestPhaseRational:
     def test_normalized_equality(self):
-        assert PhaseRational(1, 2) == PhaseRational(2, 4)
+        # a phase is its residue pair, unreduced: equality and hash compare
+        # the fields, as a decision's own k and g
+        assert PhaseRational(2, 4) == PhaseRational(2, 4)
+        assert PhaseRational(1, 2) != PhaseRational(2, 4)
         assert PhaseRational(1, 3) != PhaseRational(2, 3)
         assert PhaseRational(1, 2) != (1, 2)
-        assert len({PhaseRational(1, 2), PhaseRational(2, 4)}) == 1  # hash agrees
+        assert len({PhaseRational(1, 2), PhaseRational(1, 2), PhaseRational(2, 4)}) == 2
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -121,7 +124,7 @@ class TestDecide:
         d = decide_proper_lafr(double_cone(empty_graph(2)), 0, 1)
         assert d.status is RevivalStatus.PROPER
         assert d.g == 4 and Fraction(*d.earliest_time) == Fraction(1, 2)
-        assert d.phase == PhaseRational(1, 2)
+        assert d.phase == PhaseRational(2, 4)
         assert d.is_pst is True
 
     def test_p4_ends_non_integer_support(self):
@@ -364,6 +367,14 @@ class TestComplementTransfer:
     def test_precondition_violation(self):
         with pytest.raises(NotApplicableError):
             check_complement_transfer(cycle_graph(4), 1, 3)
+
+    def test_negative_time_reads_its_absolute_value(self):
+        # U(-t) is the conjugate of U(t): C4 and its complement 2K2 both
+        # revive on (0, 2) and (1, 3) at 7*pi/2 and at -7*pi/2, the isolated
+        # edges of 2K2 as well as C4's strongly cospectral pairs
+        for g in (cycle_graph(4), complement(cycle_graph(4))):
+            for num in (7, -7):
+                assert revival._proper_pairs_at(g, num, 2) == [(0, 2), (1, 3)]
 
     @staticmethod
     def _oracle_identity(x, xbar, num, den):

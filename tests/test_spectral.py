@@ -389,9 +389,12 @@ def candidates(g, p):
 
 
 def keys(specs):
-    """Bucket keys of vertex spectra, ``None`` where a support is not
-    all-integer."""
-    return [spec and spec.key for spec in specs]
+    """The support, bucket, signs and columns of each vertex spectrum,
+    ``None`` where a support is not all-integer."""
+    return [
+        spec and (spec.support, spec.bucket, spec.signs.tolist(), spec.columns.tolist())
+        for spec in specs
+    ]
 
 
 def dtypes(g):
@@ -510,6 +513,24 @@ class TestCertificate:
         vertex_spectra.cache_clear()
         assert [all_lafr_pairs(h) for h in graphs] == decisions
         assert [dtypes(h) for h in graphs] == [{np.dtype(object)}] * len(graphs)
+
+
+class TestReduction:
+    # The screen reduces each product entry x to x - rint(x / p) * p.  A 1 x 1
+    # stack [[x]] at top = 1 reads that residue of x as its diagonal d_1.
+
+    def test_matches_python_modulus_up_to_sign(self):
+        # every integer below 2^53 - p in absolute value, so that q * p stays
+        # below 2^53; the screen's products stay far below that
+        p, rng = spectral.PRIME, Random(36)
+        limit = 2**53 - p
+        xs = [0, 1, -1, p, -p, p // 2, -(p // 2), p // 2 + 1, limit, -limit]
+        xs += [rng.randrange(-(2**b), 2**b) for b in range(1, 53) for _ in range(20)]
+        xs += [rng.randrange(-limit, limit + 1) for _ in range(1000)]
+        _, diags = spectral._screen(np.array(xs, float).reshape(-1, 1, 1), 1, p)
+        residues = diags[:, 0, 1].tolist()
+        assert all(r == int(r) and abs(r) < p for r in residues)
+        assert [int(r) % p for r in residues] == [x % p for x in xs]
 
 
 def star(k):
